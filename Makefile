@@ -87,8 +87,7 @@ soak:
 # Domain-race heuristic, per-file invalid_arg ratchet against
 # tools/lint_baseline.json) plus a strict -warn-error +a build of the
 # whole tree (DESIGN.md sections 11 and 16).  tools/lint.sh builds and
-# execs the binary, degrading to the legacy grep gates only when dune
-# itself is unavailable.
+# execs the binary; without dune it fails.
 lint:
 	sh tools/lint.sh
 	dune build --profile strict @all

@@ -1603,9 +1603,7 @@ let lint_cmd =
         docs
     end
     else begin
-      let paths =
-        if paths = [] then [ "lib"; "bin"; "bench"; "examples"; "test" ] else paths
-      in
+      let paths = if paths = [] then None else Some paths in
       if update then begin
         (* Recount lib/core and rewrite the committed ratchet state, then
            lint against the fresh baseline (which passes by construction
@@ -1628,7 +1626,7 @@ let lint_cmd =
           Printf.eprintf "lint: %s: %s (ratchet disabled)\n" baseline_path e;
           None
       in
-      let report = L.Driver.run (L.Driver.config ~root ~paths ?baseline ()) in
+      let report = L.Driver.run (L.Driver.config ~root ?paths ?baseline ()) in
       (match json with
       | Some path ->
         let oc = open_out path in
@@ -1642,7 +1640,9 @@ let lint_cmd =
   let paths =
     Arg.(value & pos_all string []
          & info [] ~docv:"PATH"
-             ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
+             ~doc:
+               "Files or directories to analyze (default: lib bin bench examples test \
+                perfbench).")
   in
   let root =
     Arg.(value & opt string "."

@@ -1,26 +1,30 @@
 open Psched_workload
 open Psched_sim
 module Obs = Psched_obs.Obs
+module R = Psched_platform.Resource
 
 let conservative ?obs ?(reservations = []) ~m allocated =
   Packing.list_schedule ?obs ~reservations ~m allocated
 
 module Make (P : Profile_intf.S) = struct
-  let seed_reservations ~m reservations =
-    let profile = P.create m in
-    List.iter
-      (fun (r : Psched_platform.Reservation.t) ->
-        P.reserve profile ~start:r.start ~duration:r.duration ~procs:r.procs)
-      reservations;
-    profile
+  module V = Rprofile.Make (P)
 
-  (* Precondition: every allocation is at most [m] processors wide.
-     The {!Schedulers} adapters — the only sanctioned entry point —
-     reject wider jobs with a typed [Too_wide] error before calling;
-     an unchecked wide job would simply never fit and loop on the
-     event heap, so callers bypassing the registry must filter. *)
-  let easy ?(obs = Obs.null) ?(reservations = []) ~m allocated =
-    let profile = seed_reservations ~m reservations in
+  (* Precondition: every allocation is at most [m] processors wide and
+     every job's non-core demand fits [cap].  The {!Schedulers}
+     adapters — the only sanctioned entry point — reject other jobs
+     with a typed [Too_wide]/[Over_resource] error before calling; an
+     unchecked job that never fits would loop on the event heap, so
+     callers bypassing the registry must filter. *)
+  let easy ?(obs = Obs.null) ?(reservations = []) ?cap ~m allocated =
+    let cap = match cap with None -> R.cap ~cores:m () | Some c -> R.with_cores c m in
+    let profile = V.create ~reservations cap in
+    (* Separate labels keep the scalar and the multi-resource instance
+       apart in span profiles (perfbench's span.easy.* and
+       span.easy-mr.* rows). *)
+    let span, backfill_span, query_span =
+      if V.cores_only profile then ("easy", "easy.backfill", "easy.query")
+      else ("easy-mr", "easy-mr.backfill", "easy-mr.query")
+    in
     let entries = ref [] in
     (* Queue in FCFS (release, id) order; jobs enter at their release. *)
     let by_fcfs ((a : Job.t), _) ((b : Job.t), _) = compare (a.release, a.id) (b.release, b.id) in
@@ -40,7 +44,7 @@ module Make (P : Profile_intf.S) = struct
     if Obs.enabled obs then Obs.set_clock obs (fun () -> !sim_now);
     let start_job now ((job : Job.t), procs) =
       let duration = Job.time_on job procs in
-      if duration > 0.0 then P.reserve profile ~start:now ~duration ~procs;
+      if duration > 0.0 then V.reserve profile ~start:now ~duration ~procs ~res:job.Job.res;
       entries := Schedule.entry ~job ~start:now ~procs () :: !entries;
       if Obs.enabled obs then begin
         Obs.job_start obs ~job:job.Job.id ~start:now ~procs;
@@ -51,7 +55,7 @@ module Make (P : Profile_intf.S) = struct
     in
     let starts_now now ((job : Job.t), procs) =
       let duration = Job.time_on job procs in
-      match P.find_start profile ~earliest:now ~duration ~procs with
+      match V.find_start profile ~earliest:now ~duration ~procs ~res:job.Job.res with
       | s -> s <= now +. eps
       | exception Not_found -> false
     in
@@ -68,11 +72,16 @@ module Make (P : Profile_intf.S) = struct
       match !queue with
       | [] | [ _ ] -> ()
       | ((hjob : Job.t), hprocs) :: rest ->
-        Obs.span obs "easy.backfill" @@ fun () ->
-        (* Hold the head's earliest reservation while backfilling. *)
-        let hdur = Job.time_on hjob hprocs in
-        let hstart = P.find_start profile ~earliest:now ~duration:hdur ~procs:hprocs in
-        if hdur > 0.0 then P.reserve profile ~start:hstart ~duration:hdur ~procs:hprocs;
+        Obs.span obs backfill_span @@ fun () ->
+        (* Hold the head's earliest reservation while backfilling — on
+           every component, so a backfilled job can steal neither the
+           head's cores nor its memory or bandwidth. *)
+        let hdur = Job.time_on hjob hprocs and hres = hjob.Job.res in
+        let hstart =
+          V.find_start profile ~earliest:now ~duration:hdur ~procs:hprocs ~res:hres
+        in
+        if hdur > 0.0 then
+          V.reserve profile ~start:hstart ~duration:hdur ~procs:hprocs ~res:hres;
         if Obs.enabled obs then
           Obs.prov_reserve obs ~job:hjob.Job.id ~start:hstart ~procs:hprocs;
         let kept =
@@ -93,8 +102,10 @@ module Make (P : Profile_intf.S) = struct
                 if Obs.enabled obs then begin
                   let duration = Job.time_on job procs in
                   let at =
-                    Obs.span obs "easy.query" @@ fun () ->
-                    match P.find_start profile ~earliest:now ~duration ~procs with
+                    Obs.span obs query_span @@ fun () ->
+                    match
+                      V.find_start profile ~earliest:now ~duration ~procs ~res:job.Job.res
+                    with
                     | s -> s
                     | exception Not_found -> infinity
                   in
@@ -106,7 +117,8 @@ module Make (P : Profile_intf.S) = struct
               end)
             rest
         in
-        if hdur > 0.0 then P.release profile ~start:hstart ~duration:hdur ~procs:hprocs;
+        if hdur > 0.0 then
+          V.release profile ~start:hstart ~duration:hdur ~procs:hprocs ~res:hres;
         queue := ((hjob, hprocs)) :: kept
     in
     let step now =
@@ -128,7 +140,7 @@ module Make (P : Profile_intf.S) = struct
         end;
         loop ()
     in
-    Obs.span obs "easy" loop;
+    Obs.span obs span loop;
     assert (!queue = [] && !pending = []);
     Schedule.make ~m !entries
 end

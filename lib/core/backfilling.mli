@@ -22,23 +22,36 @@ val conservative :
 val easy :
   ?obs:Psched_obs.Obs.t ->
   ?reservations:Psched_platform.Reservation.t list ->
+  ?cap:Psched_platform.Resource.t ->
   m:int ->
   Packing.allocated list ->
   Psched_sim.Schedule.t
-(** With an enabled [obs], every start emits ["job.start"] (and feeds
+(** EASY on the capacity [cap] (cores set to [m], as
+    {!Scheduler_intf.ctx} does; processors only by default): a job
+    starts only when its cores and its stored non-core demand fit
+    every component over its whole run, and the head's reservation
+    holds every component, so a backfilled job can steal neither the
+    head's cores nor its memory or bandwidth.  This is the ["easy"]
+    policy on the default capacity and ["easy-mr"] on [ctx.cap].
+
+    With an enabled [obs], every start emits ["job.start"] (and feeds
     the queue-wait histogram), backfilled starts emit
     ["backfill.fill"], and failed backfill probes emit
     ["backfill.hole"] with the earliest date the candidate could start
-    instead; tracing never changes the schedule.
+    instead; tracing never changes the schedule.  Spans are labelled
+    ["easy"], ["easy.backfill"] and ["easy.query"] when only cores are
+    bounded, ["easy-mr.*"] otherwise.
 
-    Precondition: every allocation is at most [m] processors wide.
-    The {!Schedulers} adapters enforce this with a typed [Too_wide]
-    error; direct callers must filter wider jobs themselves. *)
+    Precondition: every allocation is at most [m] processors wide and
+    every non-core demand fits [cap].  The {!Schedulers} adapters
+    enforce this with typed [Too_wide]/[Over_resource] errors; direct
+    callers must filter infeasible jobs themselves. *)
 
 module Make (P : Psched_sim.Profile_intf.S) : sig
   val easy :
     ?obs:Psched_obs.Obs.t ->
     ?reservations:Psched_platform.Reservation.t list ->
+    ?cap:Psched_platform.Resource.t ->
     m:int ->
     Packing.allocated list ->
     Psched_sim.Schedule.t

@@ -1,6 +1,7 @@
 open Psched_workload
 open Psched_sim
 module Obs = Psched_obs.Obs
+module R = Psched_platform.Resource
 
 type allocated = Job.t * int
 
@@ -13,16 +14,23 @@ let allocate_rigid (job : Job.t) =
   | Job.Multiparam _ -> (job, 1)
 
 let place ?(obs = Obs.null) ?profile ?(earliest = 0.0) ~m allocated =
-  let profile = match profile with Some p -> p | None -> Profile.create m in
+  let profile =
+    match profile with Some p -> p | None -> Rprofile.create (R.cap ~cores:m ())
+  in
   let place_one ((job : Job.t), procs) =
     if procs > m then
       invalid_arg
         (Printf.sprintf "Packing.place: job %d needs %d > %d processors" job.id procs m);
     let duration = Job.time_on job procs in
     let start =
-      Profile.place profile ~earliest:(Float.max job.release earliest) ~duration ~procs
+      Rprofile.place profile ~earliest:(Float.max job.release earliest) ~duration ~procs
+        ~res:job.res
     in
-    if Obs.enabled obs then Obs.prov_consider obs ~job:job.id ~start ~procs;
+    if Obs.enabled obs then begin
+      Obs.prov_consider obs ~job:job.id ~start ~procs;
+      Obs.job_start obs ~job:job.id ~start ~procs;
+      Obs.queue_wait obs ~job:job.id ~wait:(start -. job.release)
+    end;
     Schedule.entry ~job ~start ~procs ()
   in
   List.map place_one allocated
@@ -36,12 +44,9 @@ let largest_area_first ((a : Job.t), ka) ((b : Job.t), kb) =
 let longest_time_first ((a : Job.t), ka) ((b : Job.t), kb) =
   compare (Job.time_on b kb, a.id) (Job.time_on a ka, b.id)
 
-let list_schedule ?(obs = Obs.null) ?(order = fcfs) ?(reservations = []) ~m allocated =
-  let profile = Profile.create m in
-  List.iter
-    (fun (r : Psched_platform.Reservation.t) ->
-      Profile.reserve profile ~start:r.start ~duration:r.duration ~procs:r.procs)
-    reservations;
+let list_schedule ?(obs = Obs.null) ?(order = fcfs) ?(reservations = []) ?cap ~m allocated =
+  let cap = match cap with None -> R.cap ~cores:m () | Some c -> R.with_cores c m in
+  let profile = Rprofile.create ~reservations cap in
   let sorted = List.sort order allocated in
   let entries = place ~obs ~profile ~m sorted in
   Schedule.make ~m entries

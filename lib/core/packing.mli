@@ -19,7 +19,7 @@ val allocate_rigid : Job.t -> allocated
 
 val place :
   ?obs:Psched_obs.Obs.t ->
-  ?profile:Psched_sim.Profile.t ->
+  ?profile:Psched_sim.Rprofile.t ->
   ?earliest:float ->
   m:int ->
   allocated list ->
@@ -27,20 +27,30 @@ val place :
 (** Place jobs in list order on [profile] (fresh [m]-processor profile
     if omitted; the profile is mutated so callers can chain batches).
     [earliest] floors every start date (default 0).  Each job starts at
-    the earliest feasible date >= max(release, earliest).  With [obs],
-    every placement emits a [prov.consider] decision-provenance event.
+    the earliest date >= max(release, earliest) at which its cores and
+    its stored non-core demand ([Job.res]) fit.  With [obs], every
+    placement emits a [prov.consider] decision-provenance event, then
+    ["job.start"] and ["queue.wait"] as EASY does.
     @raise Invalid_argument if a job requires more than [m] processors. *)
 
 val list_schedule :
   ?obs:Psched_obs.Obs.t ->
   ?order:(allocated -> allocated -> int) ->
   ?reservations:Psched_platform.Reservation.t list ->
+  ?cap:Psched_platform.Resource.t ->
   m:int ->
   allocated list ->
   Psched_sim.Schedule.t
 (** List scheduling: sort by [order] (default: release date, then id —
-    i.e. FCFS / conservative backfilling) and {!place} on a profile
-    from which [reservations] have been subtracted. *)
+    i.e. FCFS / conservative backfilling) and {!place} on a profile of
+    capacity [cap] (cores set to [m], as {!Scheduler_intf.ctx} does;
+    processors only by default) from which [reservations] have been
+    subtracted.  This is ["list-mr"] on [ctx.cap] — Perotin–Sun–
+    Raghavan's multi-resource list scheduling, with the paper's scalar
+    list scheduling as its processors-only case.
+
+    Precondition: every non-core demand fits [cap]; the ["list-mr"]
+    adapter checks it with a typed [Over_resource] error. *)
 
 val largest_area_first : allocated -> allocated -> int
 (** Priority: decreasing procs x time, the classic LPT-like order. *)

@@ -147,10 +147,12 @@ let registry : (module I.S) list =
            Backfilling.easy ~obs:ctx.obs ~reservations:ctx.reservations ~m:ctx.m tasks));
     make "list-mr" "multi-resource list scheduling: start only when cores, memory and bandwidth fit"
       (rigid_online_mr ~policy:"list-mr" (fun ctx tasks ->
-           Multires.list_schedule ~reservations:ctx.reservations ~cap:ctx.cap tasks));
+           Packing.list_schedule ~obs:ctx.obs ~reservations:ctx.reservations ~cap:ctx.cap
+             ~m:ctx.m tasks));
     make "easy-mr" "multi-resource EASY backfilling: the head reserves its full resource vector"
       (rigid_online_mr ~policy:"easy-mr" (fun ctx tasks ->
-           Multires.easy ~obs:ctx.obs ~reservations:ctx.reservations ~cap:ctx.cap tasks));
+           Backfilling.easy ~obs:ctx.obs ~reservations:ctx.reservations ~cap:ctx.cap ~m:ctx.m
+             tasks));
     make "conservative" "conservative backfilling: every queued job holds a reservation"
       (rigid_online ~policy:"conservative" (fun ctx tasks ->
            Backfilling.conservative ~obs:ctx.obs ~reservations:ctx.reservations ~m:ctx.m tasks));

@@ -34,10 +34,10 @@ val config :
   ?baseline:Baseline.t ->
   unit ->
   config
-(** Defaults: root ".", paths [lib bin bench examples test], all rules,
-    no baseline.  Directory walks skip _build, .git, _opam and any
-    directory named "fixtures" (the must-trip lint fixtures live
-    there); explicitly listed files are always linted. *)
+(** Defaults: root ".", paths [lib bin bench examples test perfbench],
+    all rules, no baseline.  Directory walks skip _build, .git, _opam
+    and any directory named "fixtures" (the must-trip lint fixtures
+    live there); explicitly listed files are always linted. *)
 
 val run : config -> report
 

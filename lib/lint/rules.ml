@@ -229,11 +229,9 @@ let resource_cmp =
     severity = Finding.Error;
     in_scope =
       (fun file ->
-        (* The gate's legacy scope: lib/platform defines the vector, the
-           Rprofile hot loop compares its own unpacked arrays, and tests
-           may assert generator output component-wise. *)
+        (* lib/platform defines the vector, and tests may assert
+           generator output component-wise. *)
         (not (has_prefix ~prefix:"lib/platform/" file))
-        && file <> "lib/sim/rprofile.ml"
         && not (has_prefix ~prefix:"test/" file));
     check =
       (fun ctx str ->

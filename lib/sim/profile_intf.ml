@@ -2,10 +2,10 @@
 
     {!Profile} (indexed step timeline) is the production engine;
     {!Profile_reference} (sorted assoc list, the original
-    implementation) is kept as the oracle of the property tests and as
-    the baseline of the [bench/main.exe perf] comparison.  Schedulers
-    that want to be engine-generic (e.g. [Backfilling.Make],
-    [Mrt.Make]) take any [S]. *)
+    implementation) is kept as the oracle of the property tests.
+    {!Rprofile.Make} builds the multi-resource view over any [S], and
+    [Backfilling.Make] runs EASY on it: [bench/main.exe perf] applies
+    it at both engines to compare them under the same scheduler. *)
 
 module type S = sig
   type t

@@ -1,207 +1,119 @@
-(* Multi-resource availability profile: the indexed step timeline of
-   {!Profile}, generalised from a scalar free-processor count to a
-   small fixed {!Psched_platform.Resource.t} vector per segment.
+(* A vector view over scalar profiles.  An unbounded component is not
+   modelled, so on the processors-only platform every operation is
+   exactly one call of the scalar engine.  A component of capacity 0
+   needs no timeline either: nothing can be reserved on it, and the fit
+   test of the non-core demand refuses any positive amount.
 
-   Segment [i] spans [dates.(i), dates.(i+1)) (the last segment extends
-   to +infinity) with [cores.(i)]/[mem.(i)]/[bw.(i)] free.  Invariants
-   mirror {!Profile}: strictly increasing dates, every component within
-   [0, capacity], adjacent segments differing in at least one
-   component (always merged otherwise).
+   [find_start] searches round-robin: each component in turn moves the
+   candidate to its own earliest fit at or after it, until every
+   component accepts the candidate unchanged.  A component's answer is
+   the least date >= the candidate at which that component fits, and
+   the joint earliest fit is such a date for every component, so the
+   candidate never passes it; it only moves forward, onto breakpoints
+   of finite timelines, so the search stops, and it stops at the joint
+   earliest fit.
 
-   The algorithms are a deliberate line-for-line port of {!Profile}
-   (binary-searched lookups, windowed updates touching only overlapping
-   segments, a single anchored sweep for [find_start]) so that with an
-   unbounded capacity vector and zero non-core requests every query
-   returns bit-identical dates to the scalar engine — the degenerate
-   compatibility contract, property-tested against {!Profile} in the
-   QCheck suite.  The scalar engine stays separate: its hot path
-   carries one int array, not three, and the streaming engine and the
-   serve daemon keep running on it unchanged. *)
+   [reserve]/[release] change every tracked component or none: when a
+   component refuses, the components already changed are restored
+   before the exception propagates. *)
 
 module R = Psched_platform.Resource
 
-type t = {
-  capacity : R.t;
-  mutable dates : float array;
-  mutable cores : int array;
-  mutable mem : int array;
-  mutable bw : int array;
-  mutable len : int;
-  mutable peak : int;
-  mutable n_reserve : int;
-  mutable n_release : int;
-  mutable n_search : int;
-}
+module Make (P : Profile_intf.S) = struct
+  type component = Untracked | Tracked of P.t
 
-type stats = { segments : int; peak_segments : int; reserves : int; releases : int; searches : int }
-
-let create (capacity : R.t) =
-  if capacity.R.cores < 1 then invalid_arg "Rprofile.create: capacity must have >= 1 core";
-  {
-    capacity;
-    dates = Array.make 8 0.0;
-    cores = Array.make 8 capacity.R.cores;
-    mem = Array.make 8 capacity.R.memory;
-    bw = Array.make 8 capacity.R.bandwidth;
-    len = 1;
-    peak = 1;
-    n_reserve = 0;
-    n_release = 0;
-    n_search = 0;
+  type t = {
+    cores : P.t;
+    memory : component;
+    bandwidth : component;
+    noncore : R.t;  (* the capacity with cores unconstrained: the fit test of [res] *)
+    cores_only : bool;
   }
 
-let capacity t = t.capacity
+  let component amount =
+    if R.is_unbounded amount || amount = 0 then Untracked else Tracked (P.create amount)
 
-let copy t =
-  {
-    t with
-    dates = Array.copy t.dates;
-    cores = Array.copy t.cores;
-    mem = Array.copy t.mem;
-    bw = Array.copy t.bw;
-  }
-
-let stats t =
-  {
-    segments = t.len;
-    peak_segments = t.peak;
-    reserves = t.n_reserve;
-    releases = t.n_release;
-    searches = t.n_search;
-  }
-
-let free_of t i = R.make ~cores:t.cores.(i) ~memory:t.mem.(i) ~bandwidth:t.bw.(i) ()
-
-(* Greatest i with dates.(i) <= date, clamped to 0. *)
-let seg_index t date =
-  if date <= t.dates.(0) then 0
-  else begin
-    let lo = ref 0 and hi = ref (t.len - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if t.dates.(mid) <= date then lo := mid else hi := mid - 1
-    done;
-    !lo
-  end
-
-let free_at t date = free_of t (seg_index t date)
-let breakpoints t = List.init t.len (fun i -> (t.dates.(i), free_of t i))
-
-let grow t extra =
-  let need = t.len + extra in
-  let cap = Array.length t.dates in
-  if need > cap then begin
-    let cap' = max need (2 * cap) in
-    let dates = Array.make cap' 0.0 in
-    let cores = Array.make cap' 0 and mem = Array.make cap' 0 and bw = Array.make cap' 0 in
-    Array.blit t.dates 0 dates 0 t.len;
-    Array.blit t.cores 0 cores 0 t.len;
-    Array.blit t.mem 0 mem 0 t.len;
-    Array.blit t.bw 0 bw 0 t.len;
-    t.dates <- dates;
-    t.cores <- cores;
-    t.mem <- mem;
-    t.bw <- bw
-  end
-
-let blit_segments t src dst n =
-  Array.blit t.dates src t.dates dst n;
-  Array.blit t.cores src t.cores dst n;
-  Array.blit t.mem src t.mem dst n;
-  Array.blit t.bw src t.bw dst n
-
-let insert t i date (level : R.t) =
-  grow t 1;
-  blit_segments t i (i + 1) (t.len - i);
-  t.dates.(i) <- date;
-  t.cores.(i) <- level.R.cores;
-  t.mem.(i) <- level.R.memory;
-  t.bw.(i) <- level.R.bandwidth;
-  t.len <- t.len + 1
-
-let same_level t i j = t.cores.(i) = t.cores.(j) && t.mem.(i) = t.mem.(j) && t.bw.(i) = t.bw.(j)
-
-(* Merge segment [i] into [i-1] when every component became equal. *)
-let merge_at t i =
-  if i > 0 && i < t.len && same_level t i (i - 1) then begin
-    blit_segments t (i + 1) i (t.len - i - 1);
-    t.len <- t.len - 1
-  end
-
-(* Apply [sign * req] on [start, stop), touching only overlapping
-   segments; bounds are validated on the overlap before any mutation. *)
-let update t ~start ~stop ~sign (req : R.t) =
-  assert (start < stop);
-  let start = Float.max start t.dates.(0) in
-  if start < stop && not (R.equal req R.zero) then begin
-    let dc = sign * req.R.cores and dm = sign * req.R.memory and db = sign * req.R.bandwidth in
-    let i0 = seg_index t start in
-    let j = ref i0 in
-    while !j < t.len && t.dates.(!j) < stop do
-      let c = t.cores.(!j) + dc and m = t.mem.(!j) + dm and b = t.bw.(!j) + db in
-      if c < 0 || m < 0 || b < 0 then
-        invalid_arg "Rprofile: availability would become negative";
-      if
-        c > t.capacity.R.cores || m > t.capacity.R.memory || b > t.capacity.R.bandwidth
-      then invalid_arg "Rprofile: availability would exceed capacity";
-      incr j
-    done;
-    let i0 =
-      if t.dates.(i0) < start then begin
-        insert t (i0 + 1) start (free_of t i0);
-        i0 + 1
-      end
-      else i0
+  let create ?(reservations = []) (cap : R.t) =
+    let t =
+      {
+        cores = P.create cap.R.cores;
+        memory = component cap.R.memory;
+        bandwidth = component cap.R.bandwidth;
+        noncore = R.with_cores cap R.unbounded_amount;
+        cores_only = R.is_unbounded cap.R.memory && R.is_unbounded cap.R.bandwidth;
+      }
     in
-    let jl = ref i0 in
-    while !jl + 1 < t.len && t.dates.(!jl + 1) < stop do incr jl done;
-    if Float.is_finite stop && (!jl = t.len - 1 || t.dates.(!jl + 1) > stop) then
-      insert t (!jl + 1) stop (free_of t !jl);
-    for k = i0 to !jl do
-      t.cores.(k) <- t.cores.(k) + dc;
-      t.mem.(k) <- t.mem.(k) + dm;
-      t.bw.(k) <- t.bw.(k) + db
-    done;
-    merge_at t (!jl + 1);
-    merge_at t i0;
-    t.peak <- max t.peak t.len
-  end
+    List.iter
+      (fun (r : Psched_platform.Reservation.t) ->
+        P.reserve t.cores ~start:r.start ~duration:r.duration ~procs:r.procs)
+      reservations;
+    t
 
-let reserve t ~start ~duration ~req =
-  if duration <= 0.0 then invalid_arg "Rprofile.reserve: duration must be positive";
-  t.n_reserve <- t.n_reserve + 1;
-  update t ~start ~stop:(start +. duration) ~sign:(-1) req
+  let cores_only t = t.cores_only
 
-let release t ~start ~duration ~req =
-  if duration <= 0.0 then invalid_arg "Rprofile.release: duration must be positive";
-  t.n_release <- t.n_release + 1;
-  update t ~start ~stop:(start +. duration) ~sign:1 req
+  (* Earliest fit of one non-core component at or after [c]; a zero
+     amount fits everywhere. *)
+  let component_start comp ~duration ~amount c =
+    match comp with
+    | Tracked p when amount > 0 -> P.find_start p ~earliest:c ~duration ~procs:amount
+    | Tracked _ | Untracked -> c
 
-let fits_seg t i (req : R.t) =
-  req.R.cores <= t.cores.(i) && req.R.memory <= t.mem.(i) && req.R.bandwidth <= t.bw.(i)
+  (* Component [i] (0 cores, 1 memory, 2 bandwidth) answers for
+     candidate [c]; [settled] components in a row have accepted [c]. *)
+  let rec settle t ~duration ~procs ~memory ~bandwidth c i settled =
+    if settled = 3 then c
+    else
+      let c' =
+        match i with
+        | 0 -> P.find_start t.cores ~earliest:c ~duration ~procs
+        | 1 -> component_start t.memory ~duration ~amount:memory c
+        | _ -> component_start t.bandwidth ~duration ~amount:bandwidth c
+      in
+      let settled = if c' > c then 1 else settled + 1 in
+      settle t ~duration ~procs ~memory ~bandwidth c' ((i + 1) mod 3) settled
 
-let find_start t ~earliest ~duration ~req =
-  t.n_search <- t.n_search + 1;
-  if not (R.fits req ~within:t.capacity) then raise Not_found;
-  let earliest = Float.max earliest t.dates.(0) in
-  let rec sweep j anchor =
-    if fits_seg t j req then begin
-      let seg_end = if j + 1 < t.len then t.dates.(j + 1) else infinity in
-      if duration <= 0.0 || seg_end >= anchor +. duration then anchor
-      else sweep (j + 1) anchor
+  let find_start t ~earliest ~duration ~procs ~(res : R.t) =
+    if t.cores_only then P.find_start t.cores ~earliest ~duration ~procs
+    else begin
+      if not (R.fits res ~within:t.noncore) then raise Not_found;
+      let c = P.find_start t.cores ~earliest ~duration ~procs in
+      settle t ~duration ~procs ~memory:res.R.memory ~bandwidth:res.R.bandwidth c 1 1
     end
-    else if j + 1 >= t.len then raise Not_found
-    else sweep (j + 1) t.dates.(j + 1)
-  in
-  sweep (seg_index t earliest) earliest
 
-let place t ~earliest ~duration ~req =
-  let start = find_start t ~earliest ~duration ~req in
-  if duration > 0.0 then reserve t ~start ~duration ~req;
-  start
+  let change p ~release ~start ~duration ~procs =
+    if release then P.release p ~start ~duration ~procs
+    else P.reserve p ~start ~duration ~procs
 
-let pp ppf t =
-  let pp_step ppf (s, f) = Format.fprintf ppf "%g->%a" s R.pp f in
-  Format.fprintf ppf "@[<h>[%a]@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_step)
-    (breakpoints t)
+  let apply t ~release ~start ~duration ~procs ~(res : R.t) =
+    if t.cores_only then change t.cores ~release ~start ~duration ~procs
+    else begin
+      if not (R.fits res ~within:t.noncore) then
+        invalid_arg "Rprofile: demand exceeds the capacity";
+      let on comp amount ~release =
+        match comp with
+        | Tracked p when amount > 0 -> change p ~release ~start ~duration ~procs:amount
+        | Tracked _ | Untracked -> ()
+      in
+      let undo = not release in
+      change t.cores ~release ~start ~duration ~procs;
+      (try on t.memory res.R.memory ~release
+       with Invalid_argument _ as e ->
+         change t.cores ~release:undo ~start ~duration ~procs;
+         raise e);
+      try on t.bandwidth res.R.bandwidth ~release
+      with Invalid_argument _ as e ->
+        on t.memory res.R.memory ~release:undo;
+        change t.cores ~release:undo ~start ~duration ~procs;
+        raise e
+    end
+
+  let reserve t ~start ~duration ~procs ~res = apply t ~release:false ~start ~duration ~procs ~res
+  let release t ~start ~duration ~procs ~res = apply t ~release:true ~start ~duration ~procs ~res
+
+  let place t ~earliest ~duration ~procs ~res =
+    let start = find_start t ~earliest ~duration ~procs ~res in
+    if duration > 0.0 then reserve t ~start ~duration ~procs ~res;
+    start
+end
+
+include Make (Profile)

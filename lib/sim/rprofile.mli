@@ -1,44 +1,55 @@
 (** Multi-resource availability profile.
 
-    The indexed step-timeline engine of {!Profile}, generalised to
-    track a fixed {!Psched_platform.Resource.t} vector (free cores,
-    memory, bandwidth) per segment instead of a scalar free-processor
-    count.  A window fits only when {e every} requested component fits
-    in every overlapping segment.
+    A vector view over scalar availability profiles: one
+    {!Profile_intf.S} timeline for cores plus one for each non-core
+    component (memory, bandwidth) that the capacity bounds.  A window
+    fits only when {e every} component fits over the whole window.
 
-    With an unbounded capacity ({!Psched_platform.Resource.cap}
-    [~cores:m ()]) and zero non-core requests, every operation returns
-    bit-identical dates to the scalar {!Profile} — the degenerate
-    compatibility contract of DESIGN.md section 15, property-tested in
-    the QCheck suite. *)
+    Components the capacity leaves unbounded
+    ({!Psched_platform.Resource.unbounded_amount}) are not modelled:
+    they carry no timeline and accept any demand.  On the
+    processors-only platform ({!Psched_platform.Resource.cap}
+    [~cores:m ()]) every operation is therefore exactly one call of the
+    scalar engine, which is how [Backfilling] and [Packing] run the
+    paper's scalar policies and their multi-resource variants on one
+    engine (DESIGN.md section 15).
 
-type t
+    Requests come in two parts: the allocation [procs] and the job's
+    stored non-core demand [res] ([Job.res]), whose cores component
+    is ignored. *)
 
-type stats = { segments : int; peak_segments : int; reserves : int; releases : int; searches : int }
+module Make (P : Profile_intf.S) : sig
+  type t
 
-val create : Psched_platform.Resource.t -> t
-(** @raise Invalid_argument when the capacity has no cores. *)
+  val create : ?reservations:Psched_platform.Reservation.t list -> Psched_platform.Resource.t -> t
+  (** A profile with the whole capacity free from time 0 on, minus the
+      advance [reservations] (which hold cores only).
+      @raise Invalid_argument when the capacity has no cores. *)
 
-val capacity : t -> Psched_platform.Resource.t
-val free_at : t -> float -> Psched_platform.Resource.t
+  val cores_only : t -> bool
+  (** Every non-core component of the capacity is unbounded. *)
 
-val find_start :
-  t -> earliest:float -> duration:float -> req:Psched_platform.Resource.t -> float
-(** Earliest date [>= earliest] at which [req] fits for [duration].
-    @raise Not_found when [req] never fits (exceeds capacity). *)
+  val find_start :
+    t -> earliest:float -> duration:float -> procs:int -> res:Psched_platform.Resource.t -> float
+  (** Earliest date [>= earliest] at which [procs] cores and the
+      non-core demand [res] fit for [duration].
+      @raise Not_found when a demand exceeds its component's capacity. *)
 
-val reserve : t -> start:float -> duration:float -> req:Psched_platform.Resource.t -> unit
-(** @raise Invalid_argument on non-positive durations or when any
-    component would go negative. *)
+  val reserve :
+    t -> start:float -> duration:float -> procs:int -> res:Psched_platform.Resource.t -> unit
+  (** Subtract the request from the window, on every component or on
+      none.  @raise Invalid_argument on non-positive durations or when
+      any component would go negative; the profile is then unchanged. *)
 
-val release : t -> start:float -> duration:float -> req:Psched_platform.Resource.t -> unit
-(** Inverse of {!reserve}; @raise Invalid_argument when any component
-    would exceed capacity. *)
+  val release :
+    t -> start:float -> duration:float -> procs:int -> res:Psched_platform.Resource.t -> unit
+  (** Inverse of {!reserve}.  @raise Invalid_argument, leaving the
+      profile unchanged, when any component would exceed its
+      capacity. *)
 
-val place : t -> earliest:float -> duration:float -> req:Psched_platform.Resource.t -> float
-(** [find_start] then [reserve]; returns the chosen start. *)
+  val place :
+    t -> earliest:float -> duration:float -> procs:int -> res:Psched_platform.Resource.t -> float
+  (** [find_start] then [reserve]; returns the chosen start. *)
+end
 
-val breakpoints : t -> (float * Psched_platform.Resource.t) list
-val stats : t -> stats
-val copy : t -> t
-val pp : Format.formatter -> t -> unit
+include module type of Make (Profile)

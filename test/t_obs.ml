@@ -212,7 +212,8 @@ let test_registry_needs_reservations () =
 
 (* The core contract: same ctx modulo the obs handle => byte-identical
    schedule.  Run the policies with the richest instrumentation. *)
-let traced_policies = [ "mrt"; "bicriteria"; "batch-online"; "smart"; "easy"; "fcfs" ]
+let traced_policies =
+  [ "mrt"; "bicriteria"; "batch-online"; "smart"; "easy"; "fcfs"; "conservative"; "list-mr" ]
 
 let qcheck_trace_transparency =
   T_helpers.qtest ~count:60 "obs: tracing never changes the schedule" arb_mixed_rel

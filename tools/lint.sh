@@ -1,91 +1,21 @@
 #!/bin/sh
 # Lint entry point (run via `make lint`).
 #
-# The real analyzer is `psched lint` (lib/lint): an AST pass over the
-# project's own sources with parsetree ports of every gate this script
-# used to grep for, plus the determinism audit, the Domain-race
-# heuristic and the per-file invalid_arg ratchet against
-# tools/lint_baseline.json (DESIGN.md section 16).  This wrapper builds
-# and execs it; the grep gates below survive only as a degraded
-# fallback for environments without a working dune (they miss real
-# violations — `= -1.0` never matched the old regex — and trip on
-# comment text).
+# The analyzer is `psched lint` (lib/lint): an AST pass over the
+# project's own sources with the project rules, the determinism audit,
+# the Domain-race heuristic and the per-file invalid_arg ratchet
+# against tools/lint_baseline.json (DESIGN.md section 16).  This
+# wrapper builds and execs it; it needs dune.
 
 set -u
 cd "$(dirname "$0")/.."
 
-if command -v dune >/dev/null 2>&1; then
-  # A tree that does not build fails lint: do not silence the compiler.
-  dune build bin/psched.exe || exit 1
-  exec dune exec --no-build bin/psched.exe -- lint --json lint_report.json \
-    lib bin bench examples test
+if ! command -v dune >/dev/null 2>&1; then
+  echo "lint: dune not found; psched lint is built from source with dune" >&2
+  exit 1
 fi
 
-echo "lint: dune unavailable, falling back to the legacy grep gates" >&2
-fail=0
-
-err() {
-  echo "lint: $1" >&2
-  fail=1
-}
-
-# 1. The removed Export aliases must not come back.
-hits=$(grep -rEn 'Export\.(schedule_csv|schedule_json|metrics_csv|series_csv|table_json)' \
-  lib bin bench examples test 2>/dev/null)
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "deprecated Export aliases used (migrate to Export.to_csv / Export.to_json)"
-fi
-
-# 2. Float equality/inequality against literals in lib/ (the legacy
-#    regexes: blind to `= 0.` and negative literals — the AST rule is
-#    the authoritative gate).
-hits=$(grep -rEn '<> *[0-9]+\.' lib --include='*.ml' 2>/dev/null)
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "float <> against a literal in lib/ (use an epsilon or a sign test)"
-fi
-hits=$(grep -rEn 'if [^{]*[a-z_)] = [0-9]+\.[0-9]' lib --include='*.ml' 2>/dev/null)
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "float = against a literal in lib/ (use an epsilon comparison)"
-fi
-
-# 3. Scalar fallback of the per-file ratchet: total invalid_arg
-#    occurrences in lib/core must not grow past the grep-visible count
-#    at the time the baseline was audited (the AST analyzer holds the
-#    exact per-file counts in tools/lint_baseline.json).
-baseline=28
-count=$(grep -rn 'invalid_arg\|Invalid_argument' lib/core --include='*.ml' | wc -l | tr -d ' ')
-if [ "$count" -gt "$baseline" ]; then
-  err "lib/core raises invalid_arg in $count places (baseline $baseline): return a typed Scheduler_intf.error instead"
-fi
-
-# 4. Domain.spawn belongs to the Pool only.
-hits=$(grep -rn 'Domain\.spawn' lib bin bench examples test --include='*.ml' 2>/dev/null \
-  | grep -v '^lib/util/pool\.ml:')
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "Domain.spawn outside lib/util/pool.ml (route parallel work through Pool.map)"
-fi
-
-# 5. The analyzer itself must never raise.
-hits=$(grep -rn 'invalid_arg\|failwith\|raise ' lib/check --include='*.ml' 2>/dev/null)
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "lib/check raises (analyzer rules must return findings, not exceptions)"
-fi
-
-# 6. Resource components are compared through Resource.fits only.
-hits=$(grep -rEn '\.(cores|memory|bandwidth) *(<=|>=|<|>) ' \
-  lib bin bench examples 2>/dev/null \
-  | grep -v '^lib/platform/' | grep -v '^lib/sim/rprofile\.ml:')
-if [ -n "$hits" ]; then
-  echo "$hits" >&2
-  err "raw resource-component comparison outside lib/platform (use Resource.fits / first_overflow)"
-fi
-
-if [ "$fail" -eq 0 ]; then
-  echo "lint: ok (fallback gates only — run psched lint for the full analysis)"
-fi
-exit "$fail"
+# A tree that does not build fails lint: do not silence the compiler.
+dune build bin/psched.exe || exit 1
+exec dune exec --no-build bin/psched.exe -- lint --json lint_report.json \
+  lib bin bench examples test perfbench

@@ -16,8 +16,7 @@ module Make (P : Profile_intf.S) = struct
      unchecked job that never fits would loop on the event heap, so
      callers bypassing the registry must filter. *)
   let easy ?(obs = Obs.null) ?(reservations = []) ?cap ~m allocated =
-    let cap = match cap with None -> R.cap ~cores:m () | Some c -> R.with_cores c m in
-    let profile = V.create ~reservations cap in
+    let profile = V.create ~reservations (R.platform ?cap m) in
     (* Separate labels keep the scalar and the multi-resource instance
        apart in span profiles (perfbench's span.easy.* and
        span.easy-mr.* rows). *)

@@ -26,8 +26,8 @@ val easy :
   m:int ->
   Packing.allocated list ->
   Psched_sim.Schedule.t
-(** EASY on the capacity [cap] (cores set to [m], as
-    {!Scheduler_intf.ctx} does; processors only by default): a job
+(** EASY on the capacity {!Psched_platform.Resource.platform}
+    [?cap m] ([cap] with [m] cores, processors only by default): a job
     starts only when its cores and its stored non-core demand fit
     every component over its whole run, and the head's reservation
     holds every component, so a backfilled job can steal neither the

@@ -15,7 +15,7 @@ let allocate_rigid (job : Job.t) =
 
 let place ?(obs = Obs.null) ?profile ?(earliest = 0.0) ~m allocated =
   let profile =
-    match profile with Some p -> p | None -> Rprofile.create (R.cap ~cores:m ())
+    match profile with Some p -> p | None -> Rprofile.create (R.platform m)
   in
   let place_one ((job : Job.t), procs) =
     if procs > m then
@@ -45,8 +45,7 @@ let longest_time_first ((a : Job.t), ka) ((b : Job.t), kb) =
   compare (Job.time_on b kb, a.id) (Job.time_on a ka, b.id)
 
 let list_schedule ?(obs = Obs.null) ?(order = fcfs) ?(reservations = []) ?cap ~m allocated =
-  let cap = match cap with None -> R.cap ~cores:m () | Some c -> R.with_cores c m in
-  let profile = Rprofile.create ~reservations cap in
+  let profile = Rprofile.create ~reservations (R.platform ?cap m) in
   let sorted = List.sort order allocated in
   let entries = place ~obs ~profile ~m sorted in
   Schedule.make ~m entries

@@ -43,9 +43,9 @@ val list_schedule :
   Psched_sim.Schedule.t
 (** List scheduling: sort by [order] (default: release date, then id —
     i.e. FCFS / conservative backfilling) and {!place} on a profile of
-    capacity [cap] (cores set to [m], as {!Scheduler_intf.ctx} does;
-    processors only by default) from which [reservations] have been
-    subtracted.  This is ["list-mr"] on [ctx.cap] — Perotin–Sun–
+    capacity {!Psched_platform.Resource.platform} [?cap m] ([cap] with
+    [m] cores, processors only by default) from which [reservations]
+    have been subtracted.  This is ["list-mr"] on [ctx.cap] — Perotin–Sun–
     Raghavan's multi-resource list scheduling, with the paper's scalar
     list scheduling as its processors-only case.
 

@@ -51,11 +51,7 @@ let ctx ?(obs = Psched_obs.Obs.null) ?(reservations = []) ?(releases = Honour)
   if m < 1 then invalid_arg "Scheduler_intf.ctx: m must be >= 1";
   (* [m] stays the source of truth for the cores component so every
      historic [ctx ~m ()] call site keeps its exact meaning. *)
-  let cap =
-    match cap with
-    | None -> Psched_platform.Resource.cap ~cores:m ()
-    | Some c -> Psched_platform.Resource.with_cores c m
-  in
+  let cap = Psched_platform.Resource.platform ?cap m in
   { m; cap; obs; reservations; releases; alloc; epsilon }
 
 type error =

@@ -27,6 +27,8 @@ let with_cores r cores =
   check_component "cores" cores;
   { r with cores }
 
+let platform ?cap:c m = match c with None -> cap ~cores:m () | Some c -> with_cores c m
+
 let clamp a = if is_unbounded a then unbounded_amount else a
 
 let add a b =

@@ -48,6 +48,13 @@ val with_cores : t -> int -> t
     job's stored non-core demand into the full request vector once an
     allocation is chosen. *)
 
+val platform : ?cap:t -> int -> t
+(** [platform ?cap m]: the capacity of an [m]-processor platform,
+    [cap] with its cores set to [m], or the processors-only
+    [cap ~cores:m ()] when [cap] is omitted.  Wherever a capacity rides
+    beside a processor count, the count is the source of truth for the
+    cores component. *)
+
 val add : t -> t -> t
 (** Componentwise sum, clamped at {!unbounded_amount}. *)
 

@@ -1,8 +1,9 @@
 (* A vector view over scalar profiles.  An unbounded component is not
-   modelled, so on the processors-only platform every operation is
-   exactly one call of the scalar engine.  A component of capacity 0
-   needs no timeline either: nothing can be reserved on it, and the fit
-   test of the non-core demand refuses any positive amount.
+   modelled, so on the processors-only platform every operation makes
+   exactly one call of the scalar engine: the other components answer
+   without a timeline.  A component of capacity 0 needs no timeline
+   either: nothing can be reserved on it, and the fit test of the
+   non-core demand refuses any positive amount.
 
    [find_start] searches round-robin: each component in turn moves the
    candidate to its own earliest fit at or after it, until every
@@ -27,7 +28,6 @@ module Make (P : Profile_intf.S) = struct
     memory : component;
     bandwidth : component;
     noncore : R.t;  (* the capacity with cores unconstrained: the fit test of [res] *)
-    cores_only : bool;
   }
 
   let component amount =
@@ -40,7 +40,6 @@ module Make (P : Profile_intf.S) = struct
         memory = component cap.R.memory;
         bandwidth = component cap.R.bandwidth;
         noncore = R.with_cores cap R.unbounded_amount;
-        cores_only = R.is_unbounded cap.R.memory && R.is_unbounded cap.R.bandwidth;
       }
     in
     List.iter
@@ -49,7 +48,7 @@ module Make (P : Profile_intf.S) = struct
       reservations;
     t
 
-  let cores_only t = t.cores_only
+  let cores_only t = R.is_unbounded t.noncore.R.memory && R.is_unbounded t.noncore.R.bandwidth
 
   (* Earliest fit of one non-core component at or after [c]; a zero
      amount fits everywhere. *)
@@ -73,39 +72,34 @@ module Make (P : Profile_intf.S) = struct
       settle t ~duration ~procs ~memory ~bandwidth c' ((i + 1) mod 3) settled
 
   let find_start t ~earliest ~duration ~procs ~(res : R.t) =
-    if t.cores_only then P.find_start t.cores ~earliest ~duration ~procs
-    else begin
-      if not (R.fits res ~within:t.noncore) then raise Not_found;
-      let c = P.find_start t.cores ~earliest ~duration ~procs in
-      settle t ~duration ~procs ~memory:res.R.memory ~bandwidth:res.R.bandwidth c 1 1
-    end
+    if not (R.fits res ~within:t.noncore) then raise Not_found;
+    let c = P.find_start t.cores ~earliest ~duration ~procs in
+    settle t ~duration ~procs ~memory:res.R.memory ~bandwidth:res.R.bandwidth c 1 1
 
   let change p ~release ~start ~duration ~procs =
     if release then P.release p ~start ~duration ~procs
     else P.reserve p ~start ~duration ~procs
 
+  (* A non-core component's share of a change; a zero amount changes
+     nothing. *)
+  let change_component comp ~release ~start ~duration amount =
+    match comp with
+    | Tracked p when amount > 0 -> change p ~release ~start ~duration ~procs:amount
+    | Tracked _ | Untracked -> ()
+
   let apply t ~release ~start ~duration ~procs ~(res : R.t) =
-    if t.cores_only then change t.cores ~release ~start ~duration ~procs
-    else begin
-      if not (R.fits res ~within:t.noncore) then
-        invalid_arg "Rprofile: demand exceeds the capacity";
-      let on comp amount ~release =
-        match comp with
-        | Tracked p when amount > 0 -> change p ~release ~start ~duration ~procs:amount
-        | Tracked _ | Untracked -> ()
-      in
-      let undo = not release in
-      change t.cores ~release ~start ~duration ~procs;
-      (try on t.memory res.R.memory ~release
-       with Invalid_argument _ as e ->
-         change t.cores ~release:undo ~start ~duration ~procs;
-         raise e);
-      try on t.bandwidth res.R.bandwidth ~release
-      with Invalid_argument _ as e ->
-        on t.memory res.R.memory ~release:undo;
-        change t.cores ~release:undo ~start ~duration ~procs;
-        raise e
-    end
+    if not (R.fits res ~within:t.noncore) then invalid_arg "Rprofile: demand exceeds the capacity";
+    let undo = not release in
+    change t.cores ~release ~start ~duration ~procs;
+    (try change_component t.memory ~release ~start ~duration res.R.memory
+     with Invalid_argument _ as e ->
+       change t.cores ~release:undo ~start ~duration ~procs;
+       raise e);
+    try change_component t.bandwidth ~release ~start ~duration res.R.bandwidth
+    with Invalid_argument _ as e ->
+      change_component t.memory ~release:undo ~start ~duration res.R.memory;
+      change t.cores ~release:undo ~start ~duration ~procs;
+      raise e
 
   let reserve t ~start ~duration ~procs ~res = apply t ~release:false ~start ~duration ~procs ~res
   let release t ~start ~duration ~procs ~res = apply t ~release:true ~start ~duration ~procs ~res

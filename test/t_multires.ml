@@ -1,10 +1,10 @@
 (* The multi-resource engine's load-bearing properties:
 
    1. Degenerate bit-identity (DESIGN.md section 15): with an unbounded
-      capacity vector, the list and EASY engines produce
-      entry-for-entry identical schedules to their processors-only
-      default — 1000 random instances each — and the vector view makes
-      the scalar profile's placements.
+      or a never-binding capacity vector, the list and EASY engines
+      produce entry-for-entry identical schedules to their
+      processors-only default — 1000 random instances each — and the
+      vector view makes the scalar profile's placements.
 
    2. The vector view's joint earliest fit, against a brute-force
       oracle over the recorded windows, and its edge behaviour.
@@ -84,21 +84,41 @@ let entries (s : Schedule.t) =
 
 let allocated jobs = List.map (fun (j : Job.t) -> (j, Job.min_procs j)) jobs
 
+(* Capacities on which the processors-only schedule of [jobs] must not
+   move: the unbounded one, and two bounded ones that never bind — zero
+   demands on a capacity of 1, and unit demands on one unit per job.
+   The bounded ones send every probe and every reserve/release of the
+   engine through the tracked components, the last one with a real
+   timeline call on each. *)
+let never_binding m jobs =
+  let n = List.length jobs in
+  let unit = R.make ~memory:1 ~bandwidth:1 () in
+  [
+    (R.cap ~cores:m (), jobs);
+    (R.cap ~cores:m ~memory:1 ~bandwidth:1 (), jobs);
+    ( R.cap ~cores:m ~memory:n ~bandwidth:n (),
+      List.map (fun (j : Job.t) -> { j with res = unit }) jobs );
+  ]
+
 let qcheck_easy_bit_identity =
   T_helpers.qtest ~count:1000 "easy-mr = easy with unbounded capacity (bit-identical)"
     arb_scalar
     (fun (m, jobs) ->
-      let scalar = Backfilling.easy ~m (allocated jobs) in
-      let vector = Backfilling.easy ~cap:(R.cap ~cores:m ()) ~m (allocated jobs) in
-      entries scalar = entries vector)
+      let scalar = entries (Backfilling.easy ~m (allocated jobs)) in
+      List.for_all
+        (fun (cap, jobs) ->
+          compare (entries (Backfilling.easy ~cap ~m (allocated jobs))) scalar = 0)
+        (never_binding m jobs))
 
 let qcheck_list_bit_identity =
   T_helpers.qtest ~count:1000 "list-mr = list with unbounded capacity (bit-identical)"
     arb_scalar
     (fun (m, jobs) ->
-      let scalar = Packing.list_schedule ~m (allocated jobs) in
-      let vector = Packing.list_schedule ~cap:(R.cap ~cores:m ()) ~m (allocated jobs) in
-      entries scalar = entries vector)
+      let scalar = entries (Packing.list_schedule ~m (allocated jobs)) in
+      List.for_all
+        (fun (cap, jobs) ->
+          compare (entries (Packing.list_schedule ~cap ~m (allocated jobs))) scalar = 0)
+        (never_binding m jobs))
 
 (* The view degenerates to Profile: same place dates under random
    core-only traffic, with and without tracked non-core components. *)

@@ -5,7 +5,7 @@ module Obs = Psched_obs.Obs
 let canonical_alloc ~m ~deadline (job : Job.t) =
   Alloc_cache.canonical (Alloc_cache.of_job ~m job) ~deadline
 
-(* Same bound as [Lower_bounds.cmax], read off the allocation tables
+(* Same bound as [Lower_bounds.cmax], read off the allocation caches
    instead of re-querying [Job.time_on] for every width. *)
 let cmax_cached ~m caches =
   let critical = ref 0.0 and area = ref 0.0 in
@@ -296,7 +296,7 @@ module Make (P : Profile_intf.S) = struct
          {!Schedulers} adapter rejects wider ones with a typed
          [Too_wide] error before calling. *)
       Obs.span obs "mrt" @@ fun () ->
-      (* The allocation tables survive the whole dual search: every
+      (* The allocation caches survive the whole dual search: every
          lambda guess re-queries them instead of re-scanning time_on. *)
       let caches =
         Obs.span obs "mrt.alloc" @@ fun () ->

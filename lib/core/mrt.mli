@@ -52,7 +52,7 @@ val schedule :
   ?obs:Psched_obs.Obs.t -> ?epsilon:float -> m:int -> Job.t list -> Psched_sim.Schedule.t
 (** Full dual-approximation binary search ([epsilon] defaults to 0.01),
     on the default {!Psched_sim.Profile} engine, with per-job
-    allocation tables ({!Psched_workload.Alloc_cache}) built once and
+    allocation caches ({!Psched_workload.Alloc_cache}) built once and
     shared by every lambda guess.  Release dates are ignored (off-line
     problem: all tasks available).
 

@@ -18,11 +18,13 @@
    the scalars keep utilisation computable over the whole run.
 
    Complexity, with k breakpoints: [free_at] is O(log k);
-   [reserve]/[release] binary-search the window and touch only the
-   overlapping segments (at most two insertions and two merges, each a
-   blit); [find_start] is a single sweep from [earliest] that anchors
-   candidate starts at the ends of insufficient segments, so every
-   breakpoint is visited at most once.  The previous implementation
+   [reserve]/[release] binary-search the window, add the delta to the s
+   overlapping segments, and make at most two insertions and two
+   merges, each of which shifts the tail of both arrays: O(log k + s)
+   plus O(k) element moves, the level moves done by a loop typed at
+   [int] (see [blit_levels]); [find_start] is a single sweep from
+   [earliest] that anchors candidate starts at the ends of insufficient
+   segments, so every breakpoint is visited at most once.  The previous implementation
    (kept verbatim as {!Profile_reference}, the oracle of the property
    tests) rebuilt the whole assoc list per update and re-scanned it per
    candidate start: O(k) allocation per update, O(k^2) per search. *)
@@ -111,6 +113,22 @@ let events t =
       if i = 0 then (t.dates.(0), t.free.(0) - t.capacity)
       else (t.dates.(i), t.free.(i) - t.free.(i - 1)))
 
+(* Shift levels with a loop typed at [int], not [Array.blit]: the blit
+   cannot know the elements are immediate, so on an array in the major
+   heap it runs the write barrier ([caml_modify]) per element, while
+   the typed loop compiles to plain stores.  Every insert and merge
+   shifts the whole tail, so the barrier would dominate an update.  The
+   [dates] arrays hold flat floats; their blit is a memmove. *)
+let blit_levels (src : int array) src_pos (dst : int array) dst_pos len =
+  if src == dst && dst_pos > src_pos then
+    for k = len - 1 downto 0 do
+      dst.(dst_pos + k) <- src.(src_pos + k)
+    done
+  else
+    for k = 0 to len - 1 do
+      dst.(dst_pos + k) <- src.(src_pos + k)
+    done
+
 let grow t extra =
   let need = t.len + extra in
   let cap = Array.length t.dates in
@@ -118,7 +136,7 @@ let grow t extra =
     let cap' = max need (2 * cap) in
     let dates = Array.make cap' 0.0 and free = Array.make cap' 0 in
     Array.blit t.dates 0 dates 0 t.len;
-    Array.blit t.free 0 free 0 t.len;
+    blit_levels t.free 0 free 0 t.len;
     t.dates <- dates;
     t.free <- free
   end
@@ -126,7 +144,7 @@ let grow t extra =
 let insert t i date level =
   grow t 1;
   Array.blit t.dates i t.dates (i + 1) (t.len - i);
-  Array.blit t.free i t.free (i + 1) (t.len - i);
+  blit_levels t.free i t.free (i + 1) (t.len - i);
   t.dates.(i) <- date;
   t.free.(i) <- level;
   t.len <- t.len + 1
@@ -135,7 +153,7 @@ let insert t i date level =
 let merge_at t i =
   if i > 0 && i < t.len && t.free.(i) = t.free.(i - 1) then begin
     Array.blit t.dates (i + 1) t.dates i (t.len - i - 1);
-    Array.blit t.free (i + 1) t.free i (t.len - i - 1);
+    blit_levels t.free (i + 1) t.free i (t.len - i - 1);
     t.len <- t.len - 1
   end
 
@@ -239,7 +257,7 @@ let compact t ~before =
     t.n_compact <- t.n_compact + 1;
     if i > 0 then begin
       Array.blit t.dates i t.dates 0 (t.len - i);
-      Array.blit t.free i t.free 0 (t.len - i);
+      blit_levels t.free i t.free 0 (t.len - i);
       t.len <- t.len - i
     end;
     t.dates.(0) <- before;
@@ -259,14 +277,44 @@ let holes t ~until =
   done;
   List.rev !acc
 
+(* Each demand with [procs > 0] that ends after 0 becomes a [+procs]
+   event at its start clamped to 0 and, when [stop] is finite, a
+   [-procs] event at [stop].  One sort by date and one sweep that sums
+   each date's deltas and keeps only the dates where the total changes
+   give the canonical step function: first entry at 0, strictly
+   increasing dates, adjacent levels distinct. *)
 let usage_timeline demands =
-  let total = List.fold_left (fun acc (_, _, p) -> acc + max p 0) 0 demands in
-  let t = create (max 1 total) in
-  List.iter
-    (fun (start, stop, procs) ->
-      if procs > 0 && stop > start && stop > 0.0 then update t ~start ~stop ~delta:(-procs))
-    demands;
-  List.init t.len (fun i -> (t.dates.(i), t.capacity - t.free.(i)))
+  let events =
+    List.fold_left
+      (fun acc (start, stop, procs) ->
+        if procs > 0 && stop > start && stop > 0.0 then
+          let acc = (Float.max start 0.0, procs) :: acc in
+          if Float.is_finite stop then (stop, -procs) :: acc else acc
+        else acc)
+      [] demands
+    |> Array.of_list
+  in
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) events;
+  let n = Array.length events in
+  let rec sweep i used acc =
+    if i = n then List.rev acc
+    else begin
+      let date = fst events.(i) in
+      let j = ref i and used = ref used in
+      while !j < n && fst events.(!j) = date do
+        used := !used + snd events.(!j);
+        incr j
+      done;
+      let acc =
+        match acc with
+        | (_, u) :: _ when u = !used -> acc
+        | (d, _) :: rest when d = date -> (date, !used) :: rest
+        | _ -> (date, !used) :: acc
+      in
+      sweep !j !used acc
+    end
+  in
+  sweep 0 0 [ (0.0, 0) ]
 
 let pp ppf t =
   let pp_step ppf (s, f) = Format.fprintf ppf "%g->%d" s f in

@@ -100,7 +100,12 @@ val stats : t -> stats
 
 val usage_timeline : (float * float * int) list -> (float * int) list
 (** [usage_timeline demands]: the total demand of [(start, stop,
-    procs)] intervals as a step function [(date, used)] — one sweep of
-    the timeline engine.  Used by {!Validate} for capacity checking. *)
+    procs)] intervals as a step function [(date, used)], computed by
+    one sort of the interval endpoints and one sweep: O(n log n) in any
+    input order.  Starts before 0 clamp to 0, an infinite [stop] never
+    ends, and demands with [procs <= 0], [stop <= start] or
+    [stop <= 0] count for nothing.  The list is canonical: first entry
+    at 0, strictly increasing dates, adjacent levels distinct.  Used by
+    {!Validate} for capacity checking. *)
 
 val pp : Format.formatter -> t -> unit

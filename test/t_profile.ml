@@ -322,9 +322,65 @@ let test_usage_timeline () =
   Alcotest.(check (list (pair (float 1e-9) int)))
     "empty demand list" [ (0.0, 0) ] (Profile.usage_timeline [])
 
+(* Brute-force oracle for [usage_timeline]: at every distinct endpoint
+   date clamped to 0, the used level is the sum of [procs] over the
+   demands with [start <= d < stop]; equal neighbours merge and the
+   first entry sits at 0.  Demands with [procs <= 0] count for nothing. *)
+let usage_oracle demands =
+  let dates =
+    List.concat_map
+      (fun (start, stop, _) ->
+        List.filter_map
+          (fun d -> if Float.is_finite d then Some (Float.max d 0.0) else None)
+          [ start; stop ])
+      demands
+    |> List.cons 0.0 |> List.sort_uniq Float.compare
+  in
+  let used d =
+    List.fold_left
+      (fun acc (start, stop, procs) ->
+        if procs > 0 && start <= d && d < stop then acc + procs else acc)
+      0 demands
+  in
+  List.fold_left
+    (fun acc d ->
+      let u = used d in
+      match acc with (_, u') :: _ when u' = u -> acc | _ -> (d, u) :: acc)
+    [] dates
+  |> List.rev
+
+(* Unordered demands on a half-unit grid, so endpoints coincide; starts
+   go negative, stops fall at or before their start or at or before 0,
+   some stops are infinite, and some widths are zero or negative. *)
+let gen_demands =
+  let open QCheck.Gen in
+  let demand =
+    let* start = map (fun k -> 0.5 *. float_of_int k) (int_range (-6) 20) in
+    let* stop =
+      frequency
+        [
+          (8, map (fun k -> start +. (0.5 *. float_of_int k)) (int_range (-3) 12));
+          (1, map (fun k -> -0.5 *. float_of_int k) (int_range 0 4));
+          (1, return infinity);
+        ]
+    in
+    let* procs = int_range (-2) 8 in
+    return (start, stop, procs)
+  in
+  list_size (int_range 0 25) demand
+
+let qcheck_usage_timeline_oracle =
+  T_helpers.qtest ~count:1000 "usage timeline: one sweep = brute-force oracle"
+    (QCheck.make
+       ~print:(fun ds ->
+         String.concat "; " (List.map (fun (s, e, p) -> Printf.sprintf "(%g, %g, %d)" s e p) ds))
+       gen_demands)
+    (fun demands -> Profile.usage_timeline demands = usage_oracle demands)
+
 let suite =
   [
     qcheck_engines_agree;
+    qcheck_usage_timeline_oracle;
     qcheck_compaction_transparent;
     Alcotest.test_case "compaction basics" `Quick test_compact_basics;
     Alcotest.test_case "zero-duration windows" `Quick test_zero_duration_window;

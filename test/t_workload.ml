@@ -239,4 +239,96 @@ let app_class_suite =
     Alcotest.test_case "checkpoint write cost" `Quick test_ckpt_write_cost;
   ]
 
-let suite = base_suite @ analyze_suite @ app_class_suite
+(* --- allocation cache -------------------------------------------------- *)
+
+(* Jobs of every shape on small grids, so times tie and moldable tables
+   come both non-increasing and not; [m] lands below and above the
+   widest allocation. *)
+let gen_cache_case =
+  let open QCheck.Gen in
+  let time = map (fun k -> 0.5 *. float_of_int k) (int_range 1 40) in
+  let moldable =
+    let* len = int_range 1 24 in
+    let* min_procs = int_range 1 len in
+    let* times = array_repeat len time in
+    let* sorted = bool in
+    if sorted then Array.sort (fun a b -> Float.compare b a) times;
+    return (Job.moldable ~min_procs ~id:0 ~times ())
+  in
+  let job =
+    frequency
+      [
+        (4, moldable);
+        (1, map2 (fun procs time -> Job.rigid ~id:0 ~procs ~time ()) (int_range 1 24) time);
+        (1, map (fun work -> Job.make ~id:0 (Job.Divisible { work })) time);
+        ( 1,
+          map2
+            (fun count unit_time -> Job.make ~id:0 (Job.Multiparam { count; unit_time }))
+            (int_range 1 24) time );
+      ]
+  in
+  pair (int_range 1 30) job
+
+(* Outside [min_procs, min m max_procs] the cache answers infinity;
+   inside it must repeat Job.time_on / Job.work_on bit for bit. *)
+let qcheck_alloc_cache_matches_job =
+  T_helpers.qtest ~count:1000 "alloc cache: queries equal Job's, canonical = linear scan"
+    (QCheck.make
+       ~print:(fun (m, j) ->
+         match j.Job.shape with
+         | Job.Moldable { min_procs; times } ->
+           Format.asprintf "m=%d moldable min_procs=%d times=%a" m min_procs
+             (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_float)
+             (Array.to_list times)
+         | _ -> Format.asprintf "m=%d %a" m Job.pp j)
+       gen_cache_case)
+    (fun (m, job) ->
+      let c = Alloc_cache.of_job ~m job in
+      let lo = Job.min_procs job and hi = min m (Job.max_procs job) in
+      let inside k = k >= lo && k <= hi in
+      let range = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i) in
+      let queries_agree =
+        List.for_all
+          (fun k ->
+            let time = if inside k then Job.time_on job k else infinity in
+            let work = if inside k then Job.work_on job k else infinity in
+            Float.equal (Alloc_cache.time_on c k) time && Float.equal (Alloc_cache.work_on c k) work)
+          (List.init (m + 2) Fun.id)
+      in
+      let min_work =
+        List.fold_left (fun acc k -> Float.min acc (Job.work_on job k)) infinity range
+      in
+      let scan deadline = List.find_opt (fun k -> Job.time_on job k <= deadline) range in
+      let values = List.sort_uniq Float.compare (List.map (Job.time_on job) range) in
+      let rec between = function
+        | a :: (b :: _ as rest) -> ((a +. b) /. 2.0) :: between rest
+        | _ -> []
+      in
+      let deadlines = (0.0 :: infinity :: values) @ between values in
+      queries_agree
+      && Alloc_cache.feasible c = (lo <= hi)
+      && Float.equal (Alloc_cache.min_work c) min_work
+      && List.for_all (fun d -> Alloc_cache.canonical c ~deadline:d = scan d) deadlines)
+
+(* The cache reads a moldable job's own table: building it must cost the
+   same whatever the table's length, so a copy put back fails here. *)
+let test_alloc_cache_no_copy () =
+  let bytes max_procs =
+    let job =
+      Job.moldable ~id:0 ~times:(Array.init max_procs (fun k -> 100.0 /. float_of_int (k + 1))) ()
+    in
+    let before = Gc.allocated_bytes () in
+    let c = Alloc_cache.of_job ~m:2048 job in
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity c);
+    after -. before
+  in
+  T_helpers.check_float "of_job allocates the same for 8 and 1024 procs" (bytes 8) (bytes 1024)
+
+let alloc_cache_suite =
+  [
+    qcheck_alloc_cache_matches_job;
+    Alcotest.test_case "alloc cache shares the table" `Quick test_alloc_cache_no_copy;
+  ]
+
+let suite = base_suite @ analyze_suite @ app_class_suite @ alloc_cache_suite

@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke bench bench-fault bench-scale bench-scale-full bench-serve bench-multires bench-diff profile trace-smoke soak lint analyze check-fixture check clean
+.PHONY: all build test bench-diff bench-baseline profile trace-smoke soak lint analyze check-fixture check clean
 
 all: build
 
@@ -8,55 +8,37 @@ build:
 test:
 	dune runtest
 
-# One reduced benchmark pair, enough to catch a broken bench harness or
-# a grossly regressed profile engine without the full multi-minute run.
-bench-smoke:
-	dune exec bench/main.exe -- perf --json --quick
+PERFBENCH_WORKLOADS = batch-easy batch-moldable batch-vector serve-deep serve-storm
 
-# Full micro-benchmarks; rewrites BENCH_1.json with per-test estimates
-# and the profile-engine speedup table.
-bench:
-	dune exec bench/main.exe -- perf --json
+# perfbench (BENCHMARK.json) at a tenth of its size, seed 1: every
+# workload untraced, then traced, about 1.5 s a run.  Writes one JSON
+# line per run to $(1): {"workload": W, "trace": T, "result": R} with R
+# the run's last line.  A run that prints no result leaves a line the
+# gate rejects.
+define perfbench_runs
+	: > $(1)
+	for w in $(PERFBENCH_WORKLOADS); do for t in 0 1; do \
+	  r=$$(python3 perfbench/run.py --workload $$w --seed 1 --scale 0.1 --seconds 1 \
+	    --trace $$t | tail -n 1); \
+	  printf '{"workload": "%s", "trace": %s, "result": %s}\n' $$w $$t "$$r" >> $(1); \
+	done; done
+endef
 
-# Robustness degradation grid (rate x recovery policy x backoff);
-# rewrites BENCH_2.json deterministically at seed 42.
-bench-fault:
-	dune exec bench/main.exe -- fault-table --json
-
-# Streaming-engine scaling smoke: first grid point of the scaling
-# curve (time, peak live segments, memory high-water) plus the
-# sequential-vs-sharded analyzer sweep; exits 1 if the sharded report
-# is not byte-identical.  Rewrites BENCH_scale_quick.json.
-bench-scale:
-	dune exec bin/psched.exe -- bench scale --quick --json BENCH_scale_quick.json
-
-# Full scaling curve up to a million jobs; rewrites BENCH_scale.json.
-bench-scale-full:
-	dune exec bin/psched.exe -- bench scale --json BENCH_scale.json
-
-# Serve-daemon throughput and decision latency: steady Poisson load and
-# a 2x storm against a bounded admission queue; exits 1 if the storm
-# fails to engage shedding.  Rewrites BENCH_serve_quick.json.
-bench-serve:
-	dune exec bin/psched.exe -- bench serve --quick --json BENCH_serve_quick.json
-
-# App-class communities (CPU-, memory- and I/O-bound) under the
-# cores-only EASY baseline vs the multi-resource list/EASY policies;
-# rewrites BENCH_4.json deterministically at seed 42.
-bench-multires:
-	dune exec bin/psched.exe -- bench multires --json BENCH_4.json
-
-# Noise-aware regression gate: re-measure the quick pair and the quick
-# scaling point, diff both against their committed baselines (exit 1
-# past the threshold when the confidence intervals are disjoint).  CI
-# runs the same recipe.
+# The perf regression gate (CI runs the same recipe): fresh perfbench
+# runs against the committed baseline.  Fails on a failed or missing
+# run, on any change of an exact metric, and on an end-to-end timing
+# worse than a fixed factor; a failing workload's report names the
+# per-layer timing that moved most.
 bench-diff:
-	dune exec bench/main.exe -- perf --json --quick
-	dune exec bin/psched.exe -- bench diff bench/baseline.json BENCH_quick.json \
-		--threshold 0.5
-	dune exec bin/psched.exe -- bench scale --quick --json BENCH_scale_quick.json
-	dune exec bin/psched.exe -- bench diff bench/baseline_scale.json BENCH_scale_quick.json \
-		--threshold 0.5
+	$(call perfbench_runs,perfbench_gate.jsonl)
+	dune exec bin/psched.exe -- bench diff test/fixtures/perfbench_baseline.jsonl \
+		perfbench_gate.jsonl
+
+# Rewrite the committed baseline.  Its exact metrics are schedules and
+# allocation counts, so run this only after a change meant to move one
+# (or on a new machine, for the timings).
+bench-baseline:
+	$(call perfbench_runs,test/fixtures/perfbench_baseline.jsonl)
 
 # Per-phase cost tables (spans: calls, total/self wall time, GC bytes)
 # for the two most instrumented policies, plus flamegraph/Prometheus
@@ -98,14 +80,19 @@ lint:
 analyze:
 	dune exec bin/psched.exe -- check --all --json check_report.json
 
-# Rewrite the committed analyzer report that CI diffs a fresh
-# `check --all --json` against.  The sweep is seeded and carries no
-# timings, so run this only after a change meant to alter a schedule,
-# a certificate ratio or a finding.
+# Rewrite the committed analyzer report and multi-resource table that
+# CI diffs fresh `check --all --json` and `tables multires` output
+# against.  Both are seeded and carry no timings, so run this only
+# after a change meant to alter a schedule, a certificate ratio or a
+# finding.
 check-fixture:
 	dune exec bin/psched.exe -- check --all --json test/fixtures/check_all.json
+	dune exec bin/psched.exe -- tables multires > test/fixtures/tables_multires.txt
 
-check: build test bench-smoke bench-fault bench-scale bench-serve bench-multires trace-smoke soak lint analyze
+# Everything CI runs except the timing gate, plus the robustness
+# degradation grid (BENCH_2.json, deterministic at seed 42).
+check: build test trace-smoke soak lint analyze
+	dune exec bin/psched.exe -- fault -o BENCH_2.json
 
 clean:
 	dune clean

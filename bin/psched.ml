@@ -34,7 +34,8 @@ let fig2_cmd =
 (* ------------------------------------------------------------ tables *)
 
 let table_names =
-  [ "mrt"; "online"; "smart"; "bicriteria"; "dlt"; "grid"; "multicluster"; "mix"; "delay"; "stretch"; "tardiness" ]
+  [ "mrt"; "online"; "smart"; "bicriteria"; "dlt"; "grid"; "multicluster"; "mix"; "delay"; "stretch"; "tardiness";
+    "multires" ]
 
 let table_of_name = function
   | "mrt" -> Psched_experiments.Tables.mrt ()
@@ -48,6 +49,7 @@ let table_of_name = function
   | "delay" -> Psched_experiments.Tables.delay_model ()
   | "stretch" -> Psched_experiments.Tables.stretch ()
   | "tardiness" -> Psched_experiments.Tables.tardiness ()
+  | "multires" -> Psched_experiments.Tables.multires ()
   | other -> Printf.sprintf "unknown table %S (try: %s)" other (String.concat ", " table_names)
 
 let ablations_cmd =
@@ -213,568 +215,40 @@ let profile_cmd =
 
 let bench_diff_cmd =
   let module B = Psched_obs.Bench_report in
-  let run old_path new_path threshold =
-    match (B.load old_path, B.load new_path) with
-    | Error msg, _ | Ok _, Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-    | Ok old_doc, Ok new_doc ->
-      let d = B.diff ~threshold old_doc new_doc in
-      print_string (B.render d);
-      if d.B.regressions > 0 then exit 1
+  let run old_path new_path =
+    let load path = function
+      | Ok x -> x
+      | Error (B.Unreadable msg) ->
+        (* The system's message already names the file. *)
+        prerr_endline msg;
+        exit 2
+      | Error e ->
+        Printf.eprintf "%s: %s\n" path (B.error_to_string e);
+        exit 2
+    in
+    let spec = load "BENCHMARK.json" (B.load_spec "BENCHMARK.json") in
+    let old_runs = load old_path (B.load old_path) in
+    let new_runs = load new_path (B.load new_path) in
+    let d = B.diff spec old_runs new_runs in
+    print_string (B.render d);
+    if d.B.failures > 0 then exit 1
   in
   let old_path = Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD") in
   let new_path = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW") in
-  let threshold =
-    Arg.(value & opt float 0.30
-         & info [ "threshold" ]
-             ~doc:"Relative worsening past which a non-noise change is a regression.")
-  in
   Cmd.v
     (Cmd.info "diff"
-       ~doc:"Noise-aware comparison of two benchmark reports (any schema vintage); exits 1 \
-             when a metric regresses beyond the threshold with disjoint confidence intervals.")
-    Term.(const run $ old_path $ new_path $ threshold)
-
-let bench_show_cmd =
-  let module B = Psched_obs.Bench_report in
-  let run path =
-    match B.load path with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-    | Ok doc ->
-      Printf.printf "schema=%s quick=%b metrics=%d\n" doc.B.schema doc.B.quick
-        (List.length doc.B.metrics);
-      List.iter
-        (fun (mt : B.metric) ->
-          let ci =
-            match mt.B.ci with
-            | Some (lo, hi) -> Printf.sprintf "  [%.1f, %.1f]" lo hi
-            | None -> ""
-          in
-          Printf.printf "%-48s %14.1f%s%s\n" mt.B.name mt.B.value ci
-            (if mt.B.higher_better then "  (higher better)" else ""))
-        doc.B.metrics
-  in
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Print a benchmark report normalised to its flat metric list.")
-    Term.(const run $ path)
-
-(* Scaling curve: stream n jobs through the compacting engine at m
-   machines, per point reporting wall time, peak live profile segments
-   (the O(live horizon) memory witness) and heap/RSS high-water marks;
-   then time the sequential vs sharded check --all sweep and verify
-   byte-identical reports.  Output conforms to psched-bench/2 so the
-   existing `psched bench diff` regression gate covers it. *)
-let vm_hwm_mb () =
-  (* Max resident set from the kernel where available; None elsewhere. *)
-  match open_in "/proc/self/status" with
-  | exception _ -> None
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> None
-      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" -> (
-        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-        | _ :: v :: _ -> Option.map (fun kb -> float_of_int kb /. 1024.0) (int_of_string_opt v)
-        | _ -> None)
-      | _ -> scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
-
-let top_heap_mb () =
-  float_of_int (Gc.quick_stat ()).Gc.top_heap_words
-  *. float_of_int (Sys.word_size / 8)
-  /. 1048576.0
-
-let bench_scale_cmd =
-  let module Check = Psched_check in
-  let scale_stream ~seed ~n ~m =
-    let rng = Psched_util.Rng.create seed in
-    let width = max 1 (min 16 m) in
-    (* Poisson arrivals pitched at ~90% offered load: the machine stays
-       busy, the live horizon stays bounded. *)
-    let mean_procs = float_of_int (1 + width) /. 2.0 in
-    let mean_time = (10.0 +. 1000.0) /. 2.0 in
-    let gap = mean_procs *. mean_time /. (0.9 *. float_of_int m) in
-    let next_id = ref 0 in
-    let release = ref 0.0 in
-    fun () ->
-      if !next_id >= n then None
-      else begin
-        let id = !next_id in
-        incr next_id;
-        let procs = 1 + Psched_util.Rng.int rng width in
-        let time = Psched_util.Rng.uniform rng 10.0 1000.0 in
-        release := !release +. Psched_util.Rng.exp_mean rng gap;
-        Some (Job.rigid ~release:!release ~id ~procs ~time ())
-      end
-  in
-  let run quick points repeats jobs seed out =
-    let points = if quick then [ List.hd points ] else points in
-    let repeats = max 1 repeats in
-    let rows = ref [] in
-    let add_row name ~est ~lo ~hi ~samples =
-      rows := (name, est, lo, hi, samples) :: !rows
-    in
-    List.iter
-      (fun (n, m) ->
-        let tag = Printf.sprintf "scale n=%d m=%d" n m in
-        let runs =
-          List.init repeats (fun rep ->
-              Gc.compact ();
-              let t0 = Unix.gettimeofday () in
-              let r = Psched_sim.Stream.run ~m (scale_stream ~seed:(seed + rep) ~n ~m) in
-              (Unix.gettimeofday () -. t0, r))
-        in
-        let walls = List.sort compare (List.map fst runs) in
-        let med = List.nth walls (List.length walls / 2) in
-        let lo = List.hd walls and hi = List.nth walls (List.length walls - 1) in
-        let r = snd (List.hd runs) in
-        let s = r.Psched_sim.Stream.profile in
-        let heap_mb = top_heap_mb () in
-        add_row (tag ^ " wall") ~est:(med *. 1e9) ~lo:(lo *. 1e9) ~hi:(hi *. 1e9)
-          ~samples:repeats;
-        add_row (tag ^ " peak-live-segments")
-          ~est:(float_of_int s.Psched_sim.Profile.peak_segments)
-          ~lo:(float_of_int s.Psched_sim.Profile.peak_segments)
-          ~hi:(float_of_int s.Psched_sim.Profile.peak_segments)
-          ~samples:1;
-        Printf.printf
-          "%-24s wall %.3fs [%.3f, %.3f]  %.0f jobs/s  peak live segments %d (folded %d, \
-           compactions %d)  heap %.1f MB%s\n%!"
-          tag med lo hi
-          (float_of_int r.Psched_sim.Stream.jobs /. med)
-          s.Psched_sim.Profile.peak_segments s.Psched_sim.Profile.folded_segments
-          s.Psched_sim.Profile.compactions heap_mb
-          (match vm_hwm_mb () with
-          | Some mb -> Printf.sprintf "  maxrss %.1f MB" mb
-          | None -> ""))
-      points;
-    (* Sequential vs sharded analyzer sweep: the speedup ships in the
-       report's speedup map and the outputs must match byte for byte. *)
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (Unix.gettimeofday () -. t0, r)
-    in
-    let t_seq, seq_json =
-      time (fun () -> Check.Report.to_json (Check.Analyzer.analyze_all ()))
-    in
-    let sweep_obs = Psched_obs.Obs.create () in
-    Psched_obs.Obs.set_wall_clock sweep_obs Unix.gettimeofday;
-    let t_par, par_json =
-      time (fun () ->
-          Check.Report.to_json
-            (Check.Analyzer.analyze_all ~domains:jobs ~obs:sweep_obs ()))
-    in
-    let identical = String.equal seq_json par_json in
-    let speedup = if t_par > 0.0 then t_seq /. t_par else 0.0 in
-    Printf.printf "check --all sweep: %.3fs sequential, %.3fs with --jobs %d (%.2fx), reports %s\n"
-      t_seq t_par jobs speedup
-      (if identical then "byte-identical" else "DIVERGENT");
-    print_string (Psched_obs.Profiler.table sweep_obs);
-    let sweep_name = Printf.sprintf "check-sweep jobs=%d vs 1" jobs in
-    (match out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      let outf fmt = Printf.fprintf oc fmt in
-      outf "{\n";
-      outf "  \"schema\": \"psched-bench/2\",\n";
-      outf "  \"quick\": %b,\n" quick;
-      outf "  \"unit\": \"ns/run\",\n";
-      outf "  \"machine\": { \"os\": \"%s\", \"arch_bits\": %d, \"ocaml\": \"%s\" },\n"
-        Sys.os_type Sys.word_size Sys.ocaml_version;
-      outf "  \"tests\": {\n";
-      let all = List.rev !rows in
-      let nrows = List.length all in
-      List.iteri
-        (fun i (name, est, lo, hi, samples) ->
-          outf
-            "    \"%s\": { \"estimate\": %.1f, \"ci_lower\": %.1f, \"ci_upper\": %.1f, \
-             \"samples\": %d }%s\n"
-            name est lo hi samples
-            (if i = nrows - 1 then "" else ","))
-        all;
-      outf "  },\n";
-      outf "  \"profile_engine_speedup\": {\n";
-      outf "    \"%s\": %.2f\n" sweep_name speedup;
-      outf "  }\n";
-      outf "}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-    if not identical then exit 1
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"First grid point only (CI smoke).")
-  in
-  let points =
-    Arg.(value
-         & opt (list (pair ~sep:'x' int int)) [ (10_000, 1_000); (100_000, 10_000); (1_000_000, 100_000) ]
-         & info [ "points" ] ~docv:"NxM,..."
-             ~doc:"Scaling grid as jobsxmachines pairs, e.g. 100000x10000.")
-  in
-  let repeats =
-    Arg.(value & opt int 3 & info [ "repeats" ] ~doc:"Timed repetitions per point.")
-  in
-  let jobs =
-    Arg.(value & opt int 4
-         & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Domains for the sharded sweep comparison.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a psched-bench/2 report.")
-  in
-  Cmd.v
-    (Cmd.info "scale"
        ~doc:
-         "Streaming-engine scaling curve (time, peak live segments, memory high-water per \
-          point) plus the sequential-vs-parallel analyzer sweep; exits 1 if the sharded \
-          sweep is not byte-identical to the sequential one.")
-    Term.(const run $ quick $ points $ repeats $ jobs $ seed $ out)
-
-(* App-class communities against the vector capacity: the cores-only
-   EASY baseline vs the multi-resource policies, per community.  The
-   table shows where the scalar engine oversubscribes a non-core
-   resource (violations > 0) and what the honest vector policies pay
-   for respecting it. *)
-let bench_multires_cmd =
-  let module R = Psched_platform.Resource in
-  let run quick m mem_per_core sys_bw corehours seed out =
-    let corehours = if quick then corehours /. 20.0 else corehours in
-    let cap = R.cap ~cores:m ~memory:(m * mem_per_core) ~bandwidth:sys_bw () in
-    let policies = [ "easy"; "list-mr"; "easy-mr" ] in
-    let rows = ref [] in
-    Printf.printf "platform: %s\n" (R.to_string cap);
-    Printf.printf "%-12s %-10s %12s %8s %8s %8s %12s\n" "community" "policy" "makespan"
-      "u-cores" "u-mem" "u-bw" "violations";
-    List.iter
-      (fun (community, classes) ->
-        let rng = Psched_util.Rng.create seed in
-        let jobs = App_class.generate rng ~classes ~cap ~corehours in
-        (* Poisson arrivals pitched at ~90% offered load on the
-           community's bottleneck resource (memory-bound jobs saturate
-           memory long before cores), so contention is real and the
-           policies actually differ. *)
-        let resource_seconds pick capacity =
-          if R.is_unbounded capacity then 0.0
-          else
-            List.fold_left
-              (fun acc (j : Job.t) ->
-                acc +. (Job.seq_time j *. float_of_int (pick (Job.min_request j))))
-              0.0 jobs
-            /. float_of_int capacity
-        in
-        let core_seconds = corehours *. 3600.0 /. float_of_int m in
-        let busy =
-          Float.max core_seconds
-            (Float.max
-               (resource_seconds (fun r -> r.R.memory) cap.R.memory)
-               (resource_seconds (fun r -> r.R.bandwidth) cap.R.bandwidth))
-        in
-        let horizon = busy /. 0.9 in
-        let rate = float_of_int (List.length jobs) /. horizon in
-        let jobs = Workload_gen.with_poisson_arrivals rng ~rate jobs in
-        List.iter
-          (fun policy ->
-            let ctx = Scheduler_intf.ctx ~cap ~m () in
-            match Schedulers.run policy ctx jobs with
-            | Error e ->
-              Printf.eprintf "%s/%s: %s\n" community policy (Scheduler_intf.error_to_string e);
-              exit 1
-            | Ok outcome ->
-              let sched = outcome.Scheduler_intf.schedule in
-              let makespan = Schedule.makespan sched in
-              (* Integral utilisation of each component over the
-                 makespan, from the entries' request vectors. *)
-              let util pick capacity =
-                if R.is_unbounded capacity || makespan <= 0.0 then 0.0
-                else
-                  let demand =
-                    List.fold_left
-                      (fun acc (e : Schedule.entry) ->
-                        match List.find_opt (fun (j : Job.t) -> j.id = e.job_id) jobs with
-                        | Some job ->
-                          acc +. (e.duration *. float_of_int (pick (Job.request job ~procs:e.procs)))
-                        | None -> acc)
-                      0.0 sched.Schedule.entries
-                  in
-                  demand /. (makespan *. float_of_int capacity)
-              in
-              let u_cores =
-                let demand =
-                  List.fold_left
-                    (fun acc (e : Schedule.entry) ->
-                      acc +. (e.duration *. float_of_int e.procs))
-                    0.0 sched.Schedule.entries
-                in
-                if makespan > 0.0 then demand /. (makespan *. float_of_int m) else 0.0
-              in
-              let u_mem = util (fun r -> r.R.memory) cap.R.memory in
-              let u_bw = util (fun r -> r.R.bandwidth) cap.R.bandwidth in
-              let violations =
-                Psched_sim.Validate.check ~cap ~jobs sched
-                |> List.filter (function
-                     | Psched_sim.Validate.Over_resource _ | Psched_sim.Validate.Over_capacity _
-                       -> true
-                     | _ -> false)
-                |> List.length
-              in
-              Printf.printf "%-12s %-10s %12.0f %8.2f %8.2f %8.2f %12d\n" community policy
-                makespan u_cores u_mem u_bw violations;
-              let tag metric = Printf.sprintf "multires %s %s %s" community policy metric in
-              rows :=
-                !rows
-                @ [
-                    (tag "makespan", makespan);
-                    (tag "util-cores", u_cores);
-                    (tag "util-mem", u_mem);
-                    (tag "util-bw", u_bw);
-                    (tag "violations", float_of_int violations);
-                  ])
-          policies)
-      (App_class.communities cap);
-    match out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      let outf fmt = Printf.fprintf oc fmt in
-      outf "{\n";
-      outf "  \"schema\": \"psched-bench/2\",\n";
-      outf "  \"quick\": %b,\n" quick;
-      outf "  \"unit\": \"mixed\",\n";
-      outf "  \"machine\": { \"os\": \"%s\", \"arch_bits\": %d, \"ocaml\": \"%s\" },\n"
-        Sys.os_type Sys.word_size Sys.ocaml_version;
-      outf "  \"tests\": {\n";
-      let n = List.length !rows in
-      List.iteri
-        (fun i (name, v) ->
-          outf
-            "    \"%s\": { \"estimate\": %.4f, \"ci_lower\": %.4f, \"ci_upper\": %.4f, \
-             \"samples\": 1 }%s\n"
-            name v v v
-            (if i = n - 1 then "" else ","))
-        !rows;
-      outf "  }\n";
-      outf "}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"1/20th of the core-hour budget (CI smoke).") in
-  let m = Arg.(value & opt int 512 & info [ "m" ] ~doc:"Core capacity.") in
-  let mem_per_core =
-    Arg.(value & opt int 2048 & info [ "mem-per-core" ] ~docv:"MB" ~doc:"Memory per core, MB.")
-  in
-  let sys_bw =
-    Arg.(value & opt int 1024 & info [ "sys-bw" ] ~docv:"MB/s" ~doc:"System I/O bandwidth.")
-  in
-  let corehours =
-    Arg.(value & opt float 20000.0 & info [ "corehours" ] ~doc:"Workload size per community.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a psched-bench/2 report.")
-  in
-  Cmd.v
-    (Cmd.info "multires"
-       ~doc:
-         "App-class communities (CPU-, memory- and I/O-bound) under the cores-only EASY \
-          baseline vs the multi-resource list and EASY policies: makespan, per-resource \
-          utilisation and capacity violations per run.")
-    Term.(const run $ quick $ m $ mem_per_core $ sys_bw $ corehours $ seed $ out)
-
-let bench_serve_cmd =
-  let module Serve = Psched_serve in
-  let run quick m count every cap rate factor seed repeats out =
-    let count = if quick then min count 2_000 else count in
-    let repeats = max 1 repeats in
-    let procs_max = max 1 (m / 4) in
-    let tmin = 10.0 and tmax = 1000.0 in
-    let mean_procs = float_of_int (1 + procs_max) /. 2.0 in
-    let mean_time = (tmin +. tmax) /. 2.0 in
-    let mean_work = mean_procs *. mean_time in
-    let rate =
-      if rate > 0.0 then rate
-      else
-        (* Steady rate pitched at ~90% offered load, as in bench scale. *)
-        0.9 *. float_of_int m /. mean_work
-    in
-    (* Cap the per-cycle backlog just under one cycle of machine
-       capacity: the steady run clears it, the storm overflows it and
-       must shed, keeping admitted load — and live profile memory —
-       bounded regardless of how many jobs the storm throws. *)
-    let cap =
-      if cap > 0 then cap
-      else max 4 (int_of_float (0.94 *. float_of_int m *. every /. mean_work))
-    in
-    let rows = ref [] in
-    let add_row name ~est ~lo ~hi ~samples =
-      rows := (name, est, lo, hi, samples) :: !rows
-    in
-    let bench tag ~repeats ~count arrival_rate =
-      let runs =
-        List.init repeats (fun rep ->
-            Gc.compact ();
-            (* The daemon reads decision latencies off its obs wall
-               clock; install the microsecond one (the Obs.null default
-               is Sys.time). *)
-            let obs = Psched_obs.Obs.create ~ring_capacity:16 () in
-            Psched_obs.Obs.set_wall_clock obs Unix.gettimeofday;
-            let series = Psched_obs.Series.create ~interval:every () in
-            let cfg =
-              Serve.Daemon.config ~m ~round_every:every ~queue_cap:cap
-                ~shed:Serve.Admission.Reject ~series ~obs ()
-            in
-            let arr =
-              Serve.Arrivals.poisson ~procs_max ~tmin ~tmax ~m ~rate:arrival_rate
-                ~seed:(seed + rep) ~count ()
-            in
-            let t0 = Unix.gettimeofday () in
-            let o = Serve.Daemon.run cfg arr in
-            (Unix.gettimeofday () -. t0, o, series))
-      in
-      let walls = List.sort compare (List.map (fun (w, _, _) -> w) runs) in
-      let med = List.nth walls (List.length walls / 2) in
-      let lo = List.hd walls and hi = List.nth walls (List.length walls - 1) in
-      let o, series = match List.hd runs with _, o, s -> (o, s) in
-      let lats = Array.to_list o.Serve.Daemon.decision_latencies in
-      let p50 = Psched_util.Stats.percentile 0.50 lats in
-      let p99 = Psched_util.Stats.percentile 0.99 lats in
-      let c = o.Serve.Daemon.state.Serve.Snapshot.counters in
-      let peak = o.Serve.Daemon.profile.Psched_sim.Profile.peak_segments in
-      add_row (tag ^ " wall") ~est:(med *. 1e9) ~lo:(lo *. 1e9) ~hi:(hi *. 1e9)
-        ~samples:repeats;
-      add_row (tag ^ " p50-decision-latency") ~est:(p50 *. 1e9) ~lo:(p50 *. 1e9)
-        ~hi:(p50 *. 1e9) ~samples:(List.length lats);
-      add_row (tag ^ " p99-decision-latency") ~est:(p99 *. 1e9) ~lo:(p99 *. 1e9)
-        ~hi:(p99 *. 1e9) ~samples:(List.length lats);
-      add_row (tag ^ " peak-live-segments") ~est:(float_of_int peak)
-        ~lo:(float_of_int peak) ~hi:(float_of_int peak) ~samples:1;
-      Printf.printf
-        "%-18s rate %.4f/s  wall %.3fs [%.3f, %.3f]  %.0f jobs/s admitted  decide p50 %.1fus \
-         p99 %.1fus  shed %d  max queue %d  peak live segments %d  heap %.1f MB%s\n%!"
-        tag arrival_rate med lo hi
-        (float_of_int c.Serve.Snapshot.admitted /. med)
-        (p50 *. 1e6) (p99 *. 1e6) c.Serve.Snapshot.shed o.Serve.Daemon.max_queue_depth peak
-        (top_heap_mb ())
-        (match vm_hwm_mb () with
-        | Some mb -> Printf.sprintf "  maxrss %.1f MB" mb
-        | None -> "");
-      (* SLO verdict over the recorded series: an informational line per
-         tag — bench exit semantics stay about shedding, not SLOs. *)
-      let slo = Psched_check.Slo_rules.check ~interval:every (Psched_obs.Series.samples series) in
-      let burns =
-        List.filter
-          (fun (f : Psched_check.Finding.t) ->
-            f.Psched_check.Finding.severity = Psched_check.Finding.Error)
-          slo
-      in
-      if burns = [] then
-        Printf.printf "%-18s SLO: ok over %d sample(s)\n" tag
-          (Psched_obs.Series.taken series)
-      else
-        List.iter
-          (fun (f : Psched_check.Finding.t) ->
-            Printf.printf "%-18s SLO BURN [%s] %s\n" tag f.Psched_check.Finding.rule
-              f.Psched_check.Finding.message)
-          burns;
-      (med, c.Serve.Snapshot.shed, o.Serve.Daemon.max_queue_depth, peak)
-    in
-    let steady_wall, _, _, _ = bench "serve steady" ~repeats ~count rate in
-    (* Quarter-size storm first: its peak live state must match the full
-       storm's, showing memory scales with m and the cap, not with the
-       total job count. *)
-    let _, _, _, peak_small =
-      bench "serve storm-small" ~repeats:1 ~count:(max 1 (count / 4)) (rate *. factor)
-    in
-    let storm_wall, shed_storm, depth_storm, peak_storm =
-      bench "serve storm" ~repeats ~count (rate *. factor)
-    in
-    let shedding = shed_storm > 0 in
-    Printf.printf
-      "storm at %.1fx steady: shedding %s (%d shed, queue capped at %d/%d); peak live \
-       segments %d vs %d at quarter load (%s)\n"
-      factor
-      (if shedding then "engaged" else "NOT ENGAGED")
-      shed_storm depth_storm cap peak_storm peak_small
-      (if peak_storm <= 2 * peak_small then "bounded" else "GROWING");
-    (match out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      let outf fmt = Printf.fprintf oc fmt in
-      outf "{\n";
-      outf "  \"schema\": \"psched-bench/2\",\n";
-      outf "  \"quick\": %b,\n" quick;
-      outf "  \"unit\": \"ns/run\",\n";
-      outf "  \"machine\": { \"os\": \"%s\", \"arch_bits\": %d, \"ocaml\": \"%s\" },\n"
-        Sys.os_type Sys.word_size Sys.ocaml_version;
-      outf "  \"tests\": {\n";
-      let all = List.rev !rows in
-      let nrows = List.length all in
-      List.iteri
-        (fun i (name, est, lo, hi, samples) ->
-          outf
-            "    \"%s\": { \"estimate\": %.1f, \"ci_lower\": %.1f, \"ci_upper\": %.1f, \
-             \"samples\": %d }%s\n"
-            name est lo hi samples
-            (if i = nrows - 1 then "" else ","))
-        all;
-      outf "  },\n";
-      outf "  \"profile_engine_speedup\": {\n";
-      outf "    \"serve storm vs steady wall\": %.2f\n"
-        (if steady_wall > 0.0 then storm_wall /. steady_wall else 0.0);
-      outf "  }\n";
-      outf "}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-    if not shedding then exit 1
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Cap the workload at 2000 jobs (CI smoke).")
-  in
-  let m = Arg.(value & opt int 128 & info [ "m" ] ~doc:"Processors.") in
-  let count = Arg.(value & opt int 20_000 & info [ "n" ] ~doc:"Jobs per run.") in
-  let every =
-    Arg.(value & opt float 3600.0
-         & info [ "round-every" ] ~doc:"Scheduling cycle (virtual seconds).")
-  in
-  let cap =
-    Arg.(value & opt int 0
-         & info [ "queue-cap" ] ~doc:"Admission queue bound; 0 = one cycle of capacity.")
-  in
-  let rate =
-    Arg.(value & opt float 0.0
-         & info [ "rate" ] ~doc:"Steady arrival rate (jobs/s); 0 picks ~90% offered load.")
-  in
-  let factor =
-    Arg.(value & opt float 2.0 & info [ "storm" ] ~doc:"Storm rate multiplier (>= 2).")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let repeats =
-    Arg.(value & opt int 3 & info [ "repeats" ] ~doc:"Timed repetitions per point.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write a psched-bench/2 report.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve-daemon throughput and decision latency: a steady Poisson run and a storm at \
-          2x the steady rate against a bounded queue; exits 1 if the storm fails to engage \
-          shedding.")
-    Term.(const run $ quick $ m $ count $ every $ cap $ rate $ factor $ seed $ repeats $ out)
+         "Compare two sets of perfbench results (one JSON line per workload and trace, see \
+          $(b,make bench-diff)) against the metrics of BENCHMARK.json in the current \
+          directory.  Exits 1 when a run failed its checks or is missing, an exact metric \
+          changed, or an end-to-end metric is worse past the fixed factor; 2 on unreadable \
+          input.")
+    Term.(const run $ old_path $ new_path)
 
 let bench_cmd =
   Cmd.group
-    (Cmd.info "bench" ~doc:"Benchmark report tooling (versioned schemas, regression diffs).")
-    [ bench_diff_cmd; bench_show_cmd; bench_scale_cmd; bench_serve_cmd; bench_multires_cmd ]
+    (Cmd.info "bench" ~doc:"Benchmark regression gate over perfbench results.")
+    [ bench_diff_cmd ]
 
 (* ---------------------------------------------------------- policies *)
 
@@ -1641,8 +1115,7 @@ let lint_cmd =
     Arg.(value & pos_all string []
          & info [] ~docv:"PATH"
              ~doc:
-               "Files or directories to analyze (default: lib bin bench examples test \
-                perfbench).")
+               "Files or directories to analyze (default: lib bin examples test perfbench).")
   in
   let root =
     Arg.(value & opt string "."

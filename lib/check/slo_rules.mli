@@ -7,8 +7,7 @@
     their thresholds, so one transient spike does not page but a
     sustained breach is caught within [fast_window] samples.  A budget
     exhausted without ever tripping both windows yields a [Warn].
-    Wired into [psched serve verify --series] and
-    [psched bench serve]. *)
+    Wired into [psched serve verify --series]. *)
 
 module Series = Psched_obs.Series
 

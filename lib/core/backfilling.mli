@@ -46,15 +46,3 @@ val easy :
     every non-core demand fits [cap].  The {!Schedulers} adapters
     enforce this with typed [Too_wide]/[Over_resource] errors; direct
     callers must filter infeasible jobs themselves. *)
-
-module Make (P : Psched_sim.Profile_intf.S) : sig
-  val easy :
-    ?obs:Psched_obs.Obs.t ->
-    ?reservations:Psched_platform.Reservation.t list ->
-    ?cap:Psched_platform.Resource.t ->
-    m:int ->
-    Packing.allocated list ->
-    Psched_sim.Schedule.t
-end
-(** EASY over an arbitrary profile engine, used to compare engines
-    under the same scheduler (see [bench/main.exe perf]). *)

@@ -37,21 +37,12 @@ type verdict =
   | Rejected  (** certificate that no schedule of length <= lambda exists *)
   | Accepted of Psched_sim.Schedule.t
 
-module Make (P : Psched_sim.Profile_intf.S) : sig
-  val try_guess : ?obs:Psched_obs.Obs.t -> m:int -> lambda:float -> Job.t list -> verdict
-
-  val schedule :
-    ?obs:Psched_obs.Obs.t -> ?epsilon:float -> m:int -> Job.t list -> Psched_sim.Schedule.t
-end
-(** The algorithm over an arbitrary profile engine, used to compare
-    engines under the same scheduler (see [bench/main.exe perf]). *)
-
 val try_guess : ?obs:Psched_obs.Obs.t -> m:int -> lambda:float -> Job.t list -> verdict
 
 val schedule :
   ?obs:Psched_obs.Obs.t -> ?epsilon:float -> m:int -> Job.t list -> Psched_sim.Schedule.t
 (** Full dual-approximation binary search ([epsilon] defaults to 0.01),
-    on the default {!Psched_sim.Profile} engine, with per-job
+    on the {!Psched_sim.Profile} engine, with per-job
     allocation caches ({!Psched_workload.Alloc_cache}) built once and
     shared by every lambda guess.  Release dates are ignored (off-line
     problem: all tasks available).

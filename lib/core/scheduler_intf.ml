@@ -7,7 +7,7 @@
 
     {[ run : ctx -> Job.t list -> (outcome, error) result ]}
 
-    so [psched], [bench], the grid layers and the experiments select
+    so [psched], perfbench, the grid layers and the experiments select
     policies {e by name} and instrument them {e uniformly} through the
     [ctx]'s observability handle.  Precondition violations (release
     dates a policy cannot honour, jobs wider than the machine, ...)

@@ -1,7 +1,7 @@
 (** The policy registry: every scheduler in [lib/core] adapted to the
     unified {!Scheduler_intf.run} shape and selectable by name.
 
-    [psched], [bench], the grid layers and the experiments pick
+    [psched], perfbench, the grid layers and the experiments pick
     policies from this table instead of pattern-matching modules:
 
     {[

@@ -56,5 +56,14 @@ val tardiness : unit -> string
 (** T-tardiness — §3's tardiness and rejection criteria: FCFS vs EDD
     vs EDD with admission control on due-dated workloads. *)
 
+val multires : unit -> string
+(** T-multires — the resource-vector extension (DESIGN.md section 15):
+    CPU-, memory- and I/O-bound app-class communities on m=512 cores,
+    2048 MB per core and 1024 MB/s of I/O bandwidth, each arriving at
+    about 90% load on its bottleneck resource.  The cores-only ["easy"]
+    baseline against ["list-mr"] and ["easy-mr"]: makespan, per-component
+    utilisation and the capacity violations {!Psched_sim.Validate}
+    finds. *)
+
 val all : unit -> (string * string) list
 (** Every table with its DESIGN.md identifier. *)

@@ -6,7 +6,7 @@
     checkpoint-restart at the Young-Daly period) and the resubmission
     regimes (with and without exponential backoff), running the same
     seed-deterministic workload through {!Injector} for every cell.
-    [bench/main.exe fault-table --json] records it to [BENCH_2.json]. *)
+    [psched fault -o BENCH_2.json] records it. *)
 
 type row = {
   rate : float;  (** outage arrival rate (per second) *)

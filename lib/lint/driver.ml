@@ -93,7 +93,7 @@ type config = {
   baseline : Baseline.t option;
 }
 
-let config ?(root = ".") ?(paths = [ "lib"; "bin"; "bench"; "examples"; "test"; "perfbench" ])
+let config ?(root = ".") ?(paths = [ "lib"; "bin"; "examples"; "test"; "perfbench" ])
     ?(rules = Rules.all) ?baseline () =
   { root; paths; rules; baseline }
 

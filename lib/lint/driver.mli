@@ -34,7 +34,7 @@ val config :
   ?baseline:Baseline.t ->
   unit ->
   config
-(** Defaults: root ".", paths [lib bin bench examples test perfbench],
+(** Defaults: root ".", paths [lib bin examples test perfbench],
     all rules, no baseline.  Directory walks skip _build, .git, _opam
     and any directory named "fixtures" (the must-trip lint fixtures
     live there); explicitly listed files are always linted. *)

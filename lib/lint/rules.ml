@@ -300,16 +300,12 @@ let det_wallclock =
   {
     id = "det-wallclock";
     doc =
-      "wall-clock reads outside the measurement harnesses (bin/, bench/) and lib/obs leak \
+      "wall-clock reads outside the command-line driver (bin/) and lib/obs leak \
        nondeterminism into library code; take an installable clock (an optional ?clock \
        argument or Obs.wall_clock) instead";
     severity = Finding.Error;
     in_scope =
-      (fun file ->
-        not
-          (has_prefix ~prefix:"bin/" file
-          || has_prefix ~prefix:"bench/" file
-          || has_prefix ~prefix:"lib/obs/" file));
+      (fun file -> not (has_prefix ~prefix:"bin/" file || has_prefix ~prefix:"lib/obs/" file));
     check =
       (fun ctx str ->
         let acc = ref [] in

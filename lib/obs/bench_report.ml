@@ -149,238 +149,291 @@ let json_of_string s =
     Ok v
   with Bad msg -> Error msg
 
-(* --------------------------------------------------- normalised docs *)
+(* ------------------------------------------------------------ inputs *)
 
-type metric = {
-  name : string;
-  value : float;
-  ci : (float * float) option;
-  higher_better : bool;
-}
+type error =
+  | Unreadable of string
+  | Bad_line of { line : int; reason : string }
+  | Bad_spec of string
 
-type doc = {
-  schema : string;
-  quick : bool;
-  metrics : metric list;
+let error_to_string = function
+  | Unreadable msg -> msg
+  | Bad_line { line; reason } -> Printf.sprintf "line %d: %s" line reason
+  | Bad_spec reason -> Printf.sprintf "benchmark spec: %s" reason
+
+type metric_spec = { name : string; unit_ : string; higher_better : bool; end_to_end : bool }
+
+type run = {
+  workload : string;
+  traced : bool;
+  correct : bool;
+  failed : int;
+  metrics : (string * float) list;
 }
 
 let field key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
-let num_field key obj = match field key obj with Some (Num f) -> Some f | _ -> None
+let ( let* ) = Result.bind
 
-let bool_field ?(default = false) key obj =
-  match field key obj with Some (Bool b) -> b | _ -> default
-
-let metric ?ci ?(higher_better = false) name value = { name; value; ci; higher_better }
-
-(* psched-bench/1: {"tests": {name: ns|null}, "profile_engine_speedup": {..}} *)
-let of_v1 j =
-  let tests =
-    match field "tests" j with
-    | Some (Obj fields) ->
-      List.filter_map
-        (fun (name, v) -> match v with Num ns -> Some (metric name ns) | _ -> None)
-        fields
-    | _ -> []
+let spec_of_json j =
+  let section key ~end_to_end =
+    match field key j with
+    | Some (Arr items) ->
+      List.fold_right
+        (fun item acc ->
+          let* acc = acc in
+          match (field "name" item, field "unit" item, field "better" item) with
+          | Some (Str name), Some (Str unit_), Some (Str ("higher" | "lower" as better)) ->
+            Ok ({ name; unit_; higher_better = better = "higher"; end_to_end } :: acc)
+          | _ -> Error (Bad_spec (Printf.sprintf "a %S entry lacks name, unit or better" key)))
+        items (Ok [])
+    | _ -> Error (Bad_spec (Printf.sprintf "no %S list" key))
   in
-  let speedups =
-    match field "profile_engine_speedup" j with
-    | Some (Obj fields) ->
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Num r -> Some (metric ~higher_better:true ("speedup:" ^ name) r)
-          | _ -> None)
-        fields
-    | _ -> []
-  in
-  { schema = "psched-bench/1"; quick = bool_field "quick" j; metrics = tests @ speedups }
+  let* e2e = section "end_to_end" ~end_to_end:true in
+  let* layers = section "per_layer" ~end_to_end:false in
+  Ok (e2e @ layers)
 
-(* psched-bench/2: tests carry {estimate, ci_lower, ci_upper, samples}. *)
-let of_v2 j =
-  let tests =
-    match field "tests" j with
-    | Some (Obj fields) ->
-      List.filter_map
-        (fun (name, v) ->
-          match num_field "estimate" v with
-          | None -> None
-          | Some est ->
-            let ci =
-              match (num_field "ci_lower" v, num_field "ci_upper" v) with
-              | Some lo, Some hi -> Some (lo, hi)
-              | _ -> None
-            in
-            Some (metric ?ci name est))
-        fields
-    | _ -> []
-  in
-  let speedups =
-    match field "profile_engine_speedup" j with
-    | Some (Obj fields) ->
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Num r -> Some (metric ~higher_better:true ("speedup:" ^ name) r)
-          | _ -> None)
-        fields
-    | _ -> []
-  in
-  { schema = "psched-bench/2"; quick = bool_field "quick" j; metrics = tests @ speedups }
-
-(* psched-fault/1: the degradation grid; each (rate, policy, backoff)
-   row contributes its makespan (lower better) and goodput (higher
-   better), so bench diff covers fault tables too. *)
-let of_fault j =
-  let rows = match field "rows" j with Some (Arr rows) -> rows | _ -> [] in
+(* One line: {"workload": W, "trace": 0|1, "result": <perfbench's last line>}. *)
+let run_of_json j =
+  let result = field "result" j in
   let metrics =
-    List.concat_map
-      (fun row ->
-        match (num_field "rate" row, field "policy" row) with
-        | Some rate, Some (Str policy) ->
-          let backoff = bool_field "backoff" row in
-          let key = Printf.sprintf "fault rate=%g policy=%s backoff=%b" rate policy backoff in
-          let one ?higher_better fieldname =
-            match num_field fieldname row with
-            | Some v -> [ metric ?higher_better (key ^ " " ^ fieldname) v ]
-            | None -> []
-          in
-          one "makespan" @ one ~higher_better:true "goodput"
-        | _ -> [])
-      rows
+    match Option.bind result (field "metrics") with
+    | Some (Obj fields) ->
+      List.fold_right
+        (fun (name, m) acc ->
+          match (acc, field "value" m) with
+          | Some acc, Some (Num v) -> Some ((name, v) :: acc)
+          | _ -> None)
+        fields (Some [])
+    | _ -> None
   in
-  { schema = "psched-fault/1"; quick = false; metrics }
-
-(* The audit blob (BENCH_3.json): findings counts and sweep seconds. *)
-let of_audit j =
-  let one ?higher_better name =
-    match num_field name j with Some v -> [ metric ?higher_better ("audit " ^ name) v ] | None -> []
+  let traced =
+    match field "trace" j with Some (Num 0.0) -> Some false | Some (Num 1.0) -> Some true | _ -> None
   in
-  {
-    schema = "audit";
-    quick = false;
-    metrics = one ~higher_better:true "runs" @ one "findings" @ one "errors" @ one "seconds";
-  }
-
-let of_json j =
-  let by_name = List.sort (fun a b -> compare a.name b.name) in
-  let finish d = Ok { d with metrics = by_name d.metrics } in
-  match field "schema" j with
-  | Some (Str "psched-bench/1") -> finish (of_v1 j)
-  | Some (Str "psched-bench/2") -> finish (of_v2 j)
-  | Some (Str "psched-fault/1") -> finish (of_fault j)
-  | Some (Str other) -> Error (Printf.sprintf "unknown schema %S" other)
-  | _ -> (
-    match field "mode" j with
-    | Some (Str "audit") -> finish (of_audit j)
-    | _ -> Error "no \"schema\" field (and not an audit blob)")
-
-let load path =
   match
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    content
+    ( field "workload" j,
+      traced,
+      Option.bind result (field "correct"),
+      Option.bind result (field "failed"),
+      metrics )
   with
-  | exception Sys_error msg -> Error msg
-  | content -> (
-    match json_of_string content with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok j -> (
-      match of_json j with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok doc -> Ok doc))
+  | Some (Str workload), Some traced, Some (Bool correct), Some (Num failed), Some metrics
+    when Float.is_integer failed ->
+    Ok { workload; traced; correct; failed = int_of_float failed; metrics }
+  | _ -> Error "not a run record: workload, trace 0|1 and perfbench's result object expected"
+
+let runs_of_string s =
+  let lines = String.split_on_char '\n' s in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | l :: rest when String.trim l = "" -> go (i + 1) acc rest
+    | l :: rest -> (
+      let bad reason = Error (Bad_line { line = i; reason }) in
+      match Result.bind (json_of_string l) run_of_json with
+      | Error reason -> bad reason
+      | Ok r when List.exists (fun o -> o.workload = r.workload && o.traced = r.traced) acc ->
+        bad (Printf.sprintf "a second %s run of %s" (if r.traced then "traced" else "untraced")
+               r.workload)
+      | Ok r -> go (i + 1) (r :: acc) rest)
+  in
+  go 1 [] lines
+
+let read path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Unreadable msg)
+  | content -> Ok content
+
+let load path = Result.bind (read path) runs_of_string
+
+let load_spec path =
+  let* content = read path in
+  match json_of_string content with
+  | Error reason -> Error (Bad_spec reason)
+  | Ok j -> spec_of_json j
 
 (* --------------------------------------------------------------- diff *)
 
-type change = {
-  c_name : string;
+(* Metrics that repeated to the bit across processes at --scale 0.1
+   --seed 1 (perfbench/README.md lists how each is measured).
+   serve.alloc_bytes_per_arrival and gc.major_collections did not: the
+   first took one of two values a few hundredths of a byte apart, the
+   second moved with the number of repetitions. *)
+let exact =
+  [
+    "cmax_ratio";
+    "mean_flow_s";
+    "served_frac";
+    "core.alloc_bytes_per_job";
+    "backfill.probes_per_job";
+    "backfill.fill_ratio";
+    "mrt.guess_accept_ratio";
+    "serve.rounds";
+    "serve.admitted";
+    "serve.shed";
+    "serve.max_queue_depth";
+    "serve.wal_bytes_per_arrival";
+    "sim.profile.peak_segments";
+    "sim.profile.compactions";
+    "sim.profile.searches_per_arrival";
+  ]
+
+(* ...except where one workload's reading did not repeat: batch-vector
+   allocates large profile arrays straight into the major heap, which
+   Gc.allocated_bytes counts only at the next major slice, and one
+   process in 29 read 22215 B per job against 22540. *)
+let inexact = [ ("batch-vector", "core.alloc_bytes_per_job") ]
+
+let is_exact ~workload metric = List.mem metric exact && not (List.mem (workload, metric) inexact)
+
+let factor = 3.0
+
+(* Per-layer timings of a whole call: they move with every layer inside
+   them, so they never name the layer that moved. *)
+let totals =
+  [ "run.rep_s"; "core.schedule_s"; "core.schedule_s.easy-mr"; "core.schedule_s.list-mr"; "serve.run_s" ]
+
+type rule = Exact | Factor | Report
+
+type row = {
+  metric : string;
   old_value : float;
   new_value : float;
-  delta_frac : float;
-  within_noise : bool;
-  regression : bool;
-  improvement : bool;
+  worse_by : float;
+  rule : rule;
+  failing : bool;
 }
 
-type diff = {
-  changes : change list;
+type workload = {
+  name : string;
+  problems : string list;
+  rows : row list;
   only_old : string list;
   only_new : string list;
-  regressions : int;
-  improvements : int;
+  moved_most : row option;
 }
 
-let overlap (alo, ahi) (blo, bhi) = alo <= bhi && blo <= ahi
+type diff = { workloads : workload list; failures : int }
 
-let diff ?(threshold = 0.30) old_doc new_doc =
-  let new_tbl = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace new_tbl m.name m) new_doc.metrics;
-  let changes = ref [] and only_old = ref [] in
-  List.iter
-    (fun om ->
-      match Hashtbl.find_opt new_tbl om.name with
-      | None -> only_old := om.name :: !only_old
-      | Some nm ->
-        Hashtbl.remove new_tbl om.name;
-        (* Positive delta always means "worse": flip the sign for
-           higher-is-better metrics. *)
-        let raw =
-          if Float.abs om.value > 0.0 then (nm.value -. om.value) /. Float.abs om.value
-          else if nm.value = om.value then 0.0
-          else infinity
-        in
-        let delta_frac = if om.higher_better then -.raw else raw in
-        let within_noise =
-          match (om.ci, nm.ci) with Some a, Some b -> overlap a b | _ -> false
-        in
-        changes :=
-          {
-            c_name = om.name;
-            old_value = om.value;
-            new_value = nm.value;
-            delta_frac;
-            within_noise;
-            regression = (delta_frac > threshold) && not within_noise;
-            improvement = (delta_frac < -.threshold) && not within_noise;
-          }
-          :: !changes)
-    old_doc.metrics;
-  let only_new = Hashtbl.fold (fun name _ acc -> name :: acc) new_tbl [] in
-  let changes = List.sort (fun a b -> compare a.c_name b.c_name) !changes in
+(* How many times worse [nw] is than [old] in the metric's bad
+   direction: 1 when equal, below 1 when better. *)
+let worse_by ~higher_better old nw =
+  let ratio a b = if Float.equal a b then 1.0 else if b > 0.0 then a /. b else infinity in
+  if higher_better then ratio old nw else ratio nw old
+
+let compare_metric spec ~workload (name, old_value) new_value =
+  let ms = List.find_opt (fun (m : metric_spec) -> m.name = name) spec in
+  let higher_better = match ms with Some m -> m.higher_better | None -> false in
+  let rule =
+    if is_exact ~workload name then Exact
+    else match ms with Some m when m.end_to_end -> Factor | _ -> Report
+  in
+  let worse_by = worse_by ~higher_better old_value new_value in
   {
-    changes;
-    only_old = List.sort compare !only_old;
-    only_new = List.sort compare only_new;
-    regressions = List.length (List.filter (fun c -> c.regression) changes);
-    improvements = List.length (List.filter (fun c -> c.improvement) changes);
+    metric = name;
+    old_value;
+    new_value;
+    worse_by;
+    rule;
+    failing =
+      (match rule with
+      | Exact -> not (Float.equal old_value new_value)
+      | Factor -> worse_by > factor
+      | Report -> false);
   }
 
-let render d =
-  let b = Buffer.create 1024 in
-  let width =
-    List.fold_left (fun acc c -> max acc (String.length c.c_name)) String.(length "metric")
-      d.changes
+let layer_timing spec name =
+  (not (List.mem name totals))
+  && List.exists (fun (m : metric_spec) -> m.name = name && (not m.end_to_end) && m.unit_ = "s") spec
+
+let compare_workload spec name old_runs new_runs =
+  let metrics runs = List.concat_map (fun r -> r.metrics) runs in
+  let old_metrics = metrics old_runs and new_metrics = metrics new_runs in
+  let label r = if r.traced then "traced" else "untraced" in
+  let problems =
+    List.filter_map
+      (fun o ->
+        if List.exists (fun n -> n.traced = o.traced) new_runs then None
+        else Some (Printf.sprintf "the %s run is missing" (label o)))
+      old_runs
+    @ List.filter_map
+        (fun n ->
+          if n.correct && n.failed = 0 then None
+          else
+            Some
+              (Printf.sprintf "the %s run failed its checks (correct %b, failed %d)" (label n)
+                 n.correct n.failed))
+        new_runs
   in
-  Buffer.add_string b (Printf.sprintf "%-*s %14s %14s %9s\n" width "metric" "old" "new" "delta");
+  let rows =
+    List.filter_map
+      (fun ((metric, _) as old) ->
+        Option.map (compare_metric spec ~workload:name old) (List.assoc_opt metric new_metrics))
+      old_metrics
+  in
+  let absent from = List.filter_map (fun (m, _) -> if List.mem_assoc m from then None else Some m) in
+  let moved_most =
+    List.fold_left
+      (fun best r ->
+        if not (layer_timing spec r.metric) then best
+        else
+          match best with
+          | Some b when b.new_value -. b.old_value >= r.new_value -. r.old_value -> best
+          | _ -> Some r)
+      None rows
+  in
+  {
+    name;
+    problems;
+    rows;
+    only_old = absent new_metrics old_metrics;
+    only_new = absent old_metrics new_metrics;
+    moved_most;
+  }
+
+let failing w = w.problems <> [] || List.exists (fun r -> r.failing) w.rows
+
+let diff spec old_runs new_runs =
+  let names runs = List.map (fun r -> r.workload) runs in
+  let workloads =
+    List.sort_uniq compare (names old_runs @ names new_runs)
+    |> List.map (fun name ->
+           let of_ runs = List.filter (fun r -> r.workload = name) runs in
+           compare_workload spec name (of_ old_runs) (of_ new_runs))
+  in
+  let failures w = List.length w.problems + List.length (List.filter (fun r -> r.failing) w.rows) in
+  { workloads; failures = List.fold_left (fun acc w -> acc + failures w) 0 workloads }
+
+let render d =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
   List.iter
-    (fun c ->
-      let flag =
-        if c.regression then "  REGRESSION"
-        else if c.improvement then "  improved"
-        else if c.within_noise then "  ~noise"
-        else ""
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%-*s %14.1f %14.1f %+8.1f%%%s\n" width c.c_name c.old_value c.new_value
-           (100.0 *. c.delta_frac) flag))
-    d.changes;
-  List.iter
-    (fun name -> Buffer.add_string b (Printf.sprintf "removed: %s\n" name))
-    d.only_old;
-  List.iter (fun name -> Buffer.add_string b (Printf.sprintf "added: %s\n" name)) d.only_new;
-  Buffer.add_string b
-    (Printf.sprintf "%d metric(s) compared, %d regression(s), %d improvement(s)\n"
-       (List.length d.changes) d.regressions d.improvements);
+    (fun w ->
+      line "== %s: %s" w.name (if failing w then "FAIL" else "ok");
+      List.iter (line "  %s") w.problems;
+      List.iter
+        (fun r ->
+          let verdict =
+            match (r.failing, r.rule) with
+            | true, Exact -> "  FAIL (exact metric changed)"
+            | true, _ -> Printf.sprintf "  FAIL (worse than x%g)" factor
+            | false, _ -> ""
+          in
+          let ratio =
+            if r.old_value > 0.0 && r.new_value >= 0.0 then Printf.sprintf "x%.3g" r.worse_by
+            else ""
+          in
+          line "  %-34s %18.10g %18.10g  %-8s%s" r.metric r.old_value r.new_value ratio verdict)
+        (* A layer the workload does not exercise reads 0 on both sides. *)
+        (List.filter
+           (fun r -> r.failing || not (Float.equal r.old_value 0.0 && Float.equal r.new_value 0.0))
+           w.rows);
+      List.iter (line "  removed: %s") w.only_old;
+      List.iter (line "  added: %s") w.only_new;
+      match w.moved_most with
+      | Some r when failing w ->
+        line "  per-layer timing that moved most: %s (%.4g s -> %.4g s)" r.metric r.old_value
+          r.new_value
+      | _ -> ())
+    d.workloads;
+  line "%d workload(s), %d failure(s)" (List.length d.workloads) d.failures;
   Buffer.contents b

@@ -1,17 +1,26 @@
-(** Versioned benchmark reports and noise-aware regression diffs.
+(** The benchmark regression gate: compares two sets of perfbench
+    results.
 
-    The bench harness historically wrote three ad-hoc schemas
-    ([psched-bench/1] micro-benchmarks, [psched-fault/1] degradation
-    grids, the audit blob).  This module reads all of them plus the
-    unified [psched-bench/2] schema (machine metadata, per-test
-    samples and confidence intervals) and normalises every file to a
-    flat list of named {!metric}s, so [psched bench diff OLD NEW]
-    compares any two reports regardless of vintage.
+    perfbench (perfbench/README.md) runs one workload per invocation
+    and prints its result as one JSON object on its last line.  The
+    gate's input holds one line per (workload, trace) run, wrapping
+    that object:
+    [{"workload": "batch-easy", "trace": 0, "result": {...}}].
+    [psched bench diff OLD NEW] compares a committed baseline with a
+    fresh set, workload by workload, taking each metric's direction
+    ([better]) and layer from [BENCHMARK.json]:
 
-    A metric regresses when it worsens beyond the relative threshold
-    {e and} the two confidence intervals do not overlap (no intervals
-    => the threshold alone decides); overlapping intervals are treated
-    as within-noise jitter. *)
+    - a run that failed its own checks ([correct] false or [failed] > 0)
+      or is missing fails;
+    - an exact metric fails on any change, better or worse.  The exact
+      set is measured: the metrics that repeated to the bit under one
+      seed across processes at the gate's size, per workload;
+    - any other end-to-end metric fails only when it is worse than the
+      baseline by more than a fixed factor of 3.  Runs of one workload
+      at the gate's size spread up to about 2x between processes on a
+      shared host, so the factor sits above that spread;
+    - per-layer metrics never fail.  A failing workload's report names
+      the per-layer timing that grew most, the layer to look at. *)
 
 (** {2 Minimal JSON} *)
 
@@ -27,53 +36,78 @@ val json_of_string : string -> (json, string) result
 (** Strict-enough recursive parser for the JSON this repo writes (no
     dependency added; mirrors the hand-rolled encoders). *)
 
-(** {2 Normalised reports} *)
+(** {2 Inputs} *)
 
-type metric = {
+type error =
+  | Unreadable of string  (** the file could not be read *)
+  | Bad_line of { line : int; reason : string }  (** 1-based line that is not a run *)
+  | Bad_spec of string  (** [BENCHMARK.json] lacks a well-formed metric list *)
+
+val error_to_string : error -> string
+
+type metric_spec = {
   name : string;
-  value : float;
-  ci : (float * float) option;  (** (lower, upper) when the schema carries one *)
-  higher_better : bool;  (** speedups, goodput: up is good *)
+  unit_ : string;
+  higher_better : bool;
+  end_to_end : bool;  (** listed under [end_to_end], else under [per_layer] *)
 }
 
-type doc = {
-  schema : string;
-  quick : bool;
-  metrics : metric list;  (** sorted by name *)
+val spec_of_json : json -> (metric_spec list, error) result
+(** The [end_to_end] and [per_layer] lists of [BENCHMARK.json]. *)
+
+val load_spec : string -> (metric_spec list, error) result
+
+type run = {
+  workload : string;
+  traced : bool;
+  correct : bool;
+  failed : int;
+  metrics : (string * float) list;
 }
 
-val of_json : json -> (doc, string) result
-(** Recognises [psched-bench/1], [psched-bench/2], [psched-fault/1]
-    and the audit blob; anything else is an [Error]. *)
+val runs_of_string : string -> (run list, error) result
+(** One run per non-blank line.  Any malformed line, or a second run of
+    the same workload and trace, is an [Error]; nothing raises. *)
 
-val load : string -> (doc, string) result
-(** Read and normalise a report file. *)
+val load : string -> (run list, error) result
 
 (** {2 Diff} *)
 
-type change = {
-  c_name : string;
+type rule =
+  | Exact  (** fails on any change *)
+  | Factor  (** fails when worse than the baseline by more than x3 *)
+  | Report  (** per-layer, or not in [BENCHMARK.json]: never fails *)
+
+type row = {
+  metric : string;
   old_value : float;
   new_value : float;
-  delta_frac : float;  (** relative change, sign-normalised: positive = worse *)
-  within_noise : bool;  (** confidence intervals overlap *)
-  regression : bool;
-  improvement : bool;
+  worse_by : float;  (** new over old in the bad direction: 1 equal, < 1 better *)
+  rule : rule;
+  failing : bool;
 }
 
-type diff = {
-  changes : change list;
+type workload = {
+  name : string;
+  problems : string list;  (** failed or missing runs *)
+  rows : row list;  (** metrics present on both sides, baseline order *)
   only_old : string list;
   only_new : string list;
-  regressions : int;
-  improvements : int;
+  moved_most : row option;
+      (** the per-layer timing whose value grew most, whole-call totals
+          ([run.rep_s], [core.schedule_s] and its per-policy rows,
+          [serve.run_s]) excepted *)
 }
 
-val diff : ?threshold:float -> doc -> doc -> diff
-(** Compare metrics by name; [threshold] is the relative worsening
-    (default 0.30, i.e. 30%) past which a non-noise change counts as a
-    regression. *)
+type diff = { workloads : workload list; failures : int }
+(** [failures] counts failing rows and failed or missing runs. *)
+
+val failing : workload -> bool
+
+val diff : metric_spec list -> run list -> run list -> diff
+(** [diff spec baseline fresh], workloads sorted by name. *)
 
 val render : diff -> string
-(** Human-readable table: one line per common metric, flagged
-    [REGRESSION] / [improved], plus added/removed metric notes. *)
+(** One section per workload: every compared metric with its verdict,
+    added and removed metrics, and for a failing workload the
+    per-layer timing that moved most. *)

@@ -2,10 +2,8 @@
 
     {!Profile} (indexed step timeline) is the production engine;
     {!Profile_reference} (sorted assoc list, the original
-    implementation) is kept as the oracle of the property tests.
-    {!Rprofile.Make} builds the multi-resource view over any [S], and
-    [Backfilling.Make] runs EASY on it: [bench/main.exe perf] applies
-    it at both engines to compare them under the same scheduler. *)
+    implementation) is kept as the oracle of the property tests, which
+    drive both engines through this signature. *)
 
 module type S = sig
   type t

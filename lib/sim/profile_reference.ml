@@ -1,10 +1,9 @@
 (* The original assoc-list availability profile, kept as an executable
    specification: the property tests drive it in lockstep with the
-   indexed {!Profile} engine and require identical observations, and
-   the benchmark harness uses it as the baseline of the speedup
-   figures.  The list is rebuilt wholesale on every update and
-   re-scanned per candidate start, which is exactly the O(k^2)
-   behaviour the indexed engine replaces. *)
+   indexed {!Profile} engine and require identical observations.  The
+   list is rebuilt wholesale on every update and re-scanned per
+   candidate start, which is exactly the O(k^2) behaviour the indexed
+   engine replaces. *)
 
 type t = { capacity : int; mutable steps : (float * int) list }
 (* [steps] is sorted by strictly increasing date; the first date is 0;

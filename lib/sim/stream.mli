@@ -6,7 +6,8 @@
     default — compacts the profile up to the arrival front.  Peak
     memory is O(live horizon) (the widest window of simultaneously
     relevant reservations), independent of the total number of jobs;
-    `psched bench scale` measures this at up to 10^6 jobs.
+    the test suite pins the peak at 10^4 jobs and bounds it at four
+    times as many.
 
     Determinism: the result is a pure function of the generator's
     output; compaction provably cannot change it (all queries are at or

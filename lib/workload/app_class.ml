@@ -114,7 +114,7 @@ let generate rng ~classes ~cap ~corehours =
   done;
   List.rev !jobs
 
-(* Predefined communities for the bench table, scaled to the platform:
+(* Predefined communities for the T-multires table, scaled to the platform:
    nominal widths are fractions of the core capacity, memory per core
    a fraction of the per-core memory capacity.  Ratios loosely follow
    the APEX workflow survey shapes (hero runs, ensembles of mid-size

@@ -64,7 +64,7 @@ let test_fig2_render () =
 
 let test_tables_regenerate () =
   let all = Tables.all () in
-  Alcotest.(check int) "eleven tables" 11 (List.length all);
+  Alcotest.(check int) "twelve tables" 12 (List.length all);
   List.iter
     (fun (id, text) ->
       Alcotest.(check bool) (id ^ " non-empty") true (String.length text > 100))

@@ -1,5 +1,5 @@
 (* Span profiler, histogram percentiles, ring edge cases, and the
-   versioned bench-report reader/diff. *)
+   perfbench regression gate. *)
 
 open Psched_core
 open Psched_workload
@@ -150,95 +150,173 @@ let test_span_accounting_survives_ring () =
   | None -> Alcotest.fail "path lost"
   | Some s -> Alcotest.(check int) "all calls attributed" 50 s.Obs.calls
 
-(* --- bench reports ------------------------------------------------------ *)
+(* --- bench gate ---------------------------------------------------------- *)
 
-let v2 name_vals =
-  let tests =
-    String.concat ",\n"
-      (List.map
-         (fun (name, est, lo, hi) ->
-           Printf.sprintf
-             "    \"%s\": { \"estimate\": %f, \"ci_lower\": %f, \"ci_upper\": %f, \"samples\": 3 }"
-             name est lo hi)
-         name_vals)
+(* A slice of BENCHMARK.json: two end-to-end timings, one exact metric,
+   and per-layer timings including the whole-call totals. *)
+let spec =
+  let j =
+    B.json_of_string
+      {|{"end_to_end": [
+          {"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "bound": 0.25},
+          {"name": "decide_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+          {"name": "cmax_ratio", "unit": "ratio", "better": "lower", "bound": 0.01}],
+        "per_layer": [
+          {"name": "run.rep_s", "unit": "s", "better": "lower"},
+          {"name": "core.schedule_s", "unit": "s", "better": "lower"},
+          {"name": "span.easy.self_s", "unit": "s", "better": "lower"},
+          {"name": "sim.validate_s", "unit": "s", "better": "lower"},
+          {"name": "core.alloc_bytes_per_job", "unit": "bytes", "better": "lower"}]}|}
   in
-  Printf.sprintf
-    "{\n  \"schema\": \"psched-bench/2\",\n  \"quick\": true,\n  \"unit\": \"ns/run\",\n\
-    \  \"machine\": { \"os\": \"Unix\", \"arch_bits\": 64, \"ocaml\": \"5.1.1\" },\n\
-    \  \"tests\": {\n%s\n  },\n  \"profile_engine_speedup\": {}\n}\n"
-    tests
+  match Result.map B.spec_of_json j with
+  | Ok (Ok s) -> s
+  | Ok (Error e) -> Alcotest.failf "spec: %s" (B.error_to_string e)
+  | Error msg -> Alcotest.failf "spec json: %s" msg
 
-let parse_doc s =
-  match B.json_of_string s with
-  | Error msg -> Alcotest.failf "json: %s" msg
-  | Ok j -> (
-    match B.of_json j with Error msg -> Alcotest.failf "doc: %s" msg | Ok d -> d)
+(* One gate line wrapping a perfbench result. *)
+let line ?(correct = true) ?(failed = 0) workload trace metrics =
+  Printf.sprintf
+    {|{"workload": "%s", "trace": %d, "result": {"correct": %b, "attempted": 100, "failed": %d, "metrics": {%s}}}|}
+    workload trace correct failed
+    (String.concat ", "
+       (List.map (fun (n, v) -> Printf.sprintf {|"%s": {"value": %.17g, "unit": "u"}|} n v) metrics))
+
+let runs lines =
+  match B.runs_of_string (String.concat "\n" lines) with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "runs: %s" (B.error_to_string e)
+
+let e2e ?(jobs = 50000.0) ?(p50 = 17.0) ?(cmax = 1.0) () =
+  [ ("jobs_per_s", jobs); ("decide_p50_ms", p50); ("cmax_ratio", cmax) ]
+
+let layers ?(slow = 0.0) ?(alloc = 48518.775) () =
+  [
+    ("run.rep_s", 0.019 +. slow);
+    ("core.schedule_s", 0.0163 +. slow);
+    ("span.easy.self_s", 0.0171 +. slow);
+    ("sim.validate_s", 0.0017);
+    ("core.alloc_bytes_per_job", alloc);
+  ]
+
+let base = runs [ line "batch-easy" 0 (e2e ()); line "batch-easy" 1 (layers ()) ]
+
+let gate ?correct ?(e2e = e2e ()) ?(layers = layers ()) () =
+  B.diff spec base (runs [ line ?correct "batch-easy" 0 e2e; line "batch-easy" 1 layers ])
 
 let test_bench_diff_regression_and_noise () =
-  let old_doc = parse_doc (v2 [ ("EASY", 100000.0, 95000.0, 105000.0) ]) in
-  (* A 2x slowdown with disjoint intervals must regress... *)
-  let slow = parse_doc (v2 [ ("EASY", 200000.0, 195000.0, 205000.0) ]) in
-  let d = B.diff old_doc slow in
-  Alcotest.(check int) "2x slowdown regresses" 1 d.B.regressions;
-  Alcotest.(check bool) "flagged on the change" true
-    (List.exists (fun c -> c.B.regression) d.B.changes);
-  (* ... while overlapping intervals are jitter even past the threshold. *)
-  let jitter = parse_doc (v2 [ ("EASY", 140000.0, 100000.0, 180000.0) ]) in
-  let d = B.diff old_doc jitter in
-  Alcotest.(check int) "overlapping CIs are noise" 0 d.B.regressions;
-  Alcotest.(check bool) "marked within noise" true
-    (List.for_all (fun c -> c.B.within_noise) d.B.changes);
-  (* Small changes under the threshold never regress, interval or not. *)
-  let small = parse_doc (v2 [ ("EASY", 110000.0, 109000.0, 111000.0) ]) in
-  let d = B.diff old_doc small in
-  Alcotest.(check int) "10% under a 30% threshold" 0 d.B.regressions;
-  (* A big improvement is counted on the other side. *)
-  let fast = parse_doc (v2 [ ("EASY", 40000.0, 39000.0, 41000.0) ]) in
-  let d = B.diff old_doc fast in
-  Alcotest.(check int) "improvement counted" 1 d.B.improvements;
-  Alcotest.(check int) "not a regression" 0 d.B.regressions;
-  let rendered = B.render (B.diff old_doc slow) in
-  Alcotest.(check bool) "render flags REGRESSION" true (T_helpers.contains rendered "REGRESSION")
+  Alcotest.(check int) "identical runs pass" 0 (gate ()).B.failures;
+  (* Timings inside the factor are noise, however far they moved... *)
+  let noisy = gate ~e2e:(e2e ~jobs:(50000.0 /. 2.5) ~p50:(17.0 *. 2.5) ()) () in
+  Alcotest.(check int) "x2.5 inside the factor" 0 noisy.B.failures;
+  (* ...past it they fail, and the report names the per-layer timing
+     that grew most: the span, not the whole-call totals around it. *)
+  let slow =
+    gate ~e2e:(e2e ~jobs:8000.0 ~p50:117.0 ()) ~layers:(layers ~slow:0.1 ()) ()
+  in
+  Alcotest.(check int) "both timings past the factor" 2 slow.B.failures;
+  let w = List.hd slow.B.workloads in
+  Alcotest.(check bool) "workload fails" true (B.failing w);
+  Alcotest.(check (option string)) "names the span" (Some "span.easy.self_s")
+    (Option.map (fun r -> r.B.metric) w.B.moved_most);
+  let rendered = B.render slow in
+  Alcotest.(check bool) "render flags FAIL" true (T_helpers.contains rendered "FAIL");
+  Alcotest.(check bool) "render names the span" true
+    (T_helpers.contains rendered "moved most: span.easy.self_s");
+  (* Per-layer timings never fail on their own. *)
+  Alcotest.(check int) "layers alone pass" 0 (gate ~layers:(layers ~slow:1.0 ()) ()).B.failures;
+  (* An exact metric fails on any change, better or worse. *)
+  Alcotest.(check int) "cmax_ratio better" 1 (gate ~e2e:(e2e ~cmax:0.9999999 ()) ()).B.failures;
+  Alcotest.(check int) "one extra byte per job" 1
+    (gate ~layers:(layers ~alloc:48519.775 ()) ()).B.failures;
+  (* A run that failed its own checks fails the gate. *)
+  Alcotest.(check int) "correct false" 1 (gate ~correct:false ()).B.failures
 
 let test_bench_higher_better_flips () =
-  (* Speedups regress when they go DOWN. *)
-  let doc ratio =
-    parse_doc
-      (Printf.sprintf
-         "{\"schema\": \"psched-bench/1\", \"quick\": false, \"tests\": {},\n\
-         \ \"profile_engine_speedup\": {\"EASY\": %f}}"
-         ratio)
+  let jobs_gate old_jobs new_jobs =
+    B.diff spec
+      (runs [ line "w" 0 [ ("jobs_per_s", old_jobs) ] ])
+      (runs [ line "w" 0 [ ("jobs_per_s", new_jobs) ] ])
   in
-  let d = B.diff (doc 6.0) (doc 2.0) in
-  Alcotest.(check int) "speedup collapse regresses" 1 d.B.regressions;
-  let d = B.diff (doc 2.0) (doc 6.0) in
-  Alcotest.(check int) "speedup gain improves" 1 d.B.improvements;
-  Alcotest.(check int) "no false regression" 0 d.B.regressions
-
-let test_bench_cross_schema () =
-  (* v1 (bare numbers) diffs against v2 (intervals): names line up, the
-     v1 side has no CI so the threshold alone decides. *)
-  let old_doc =
-    parse_doc
-      "{\"schema\": \"psched-bench/1\", \"quick\": true,\n\
-      \ \"tests\": {\"EASY\": 100000.0}, \"profile_engine_speedup\": {}}"
+  (* jobs_per_s is higher-better: it regresses when it goes DOWN. *)
+  let d = jobs_gate 6000.0 1000.0 in
+  Alcotest.(check int) "throughput collapse fails" 1 d.B.failures;
+  Alcotest.(check int) "throughput gain passes" 0 (jobs_gate 1000.0 6000.0).B.failures;
+  (* decide_p50_ms is lower-better: the other way round. *)
+  let p50_gate o n =
+    B.diff spec
+      (runs [ line "w" 0 [ ("decide_p50_ms", o) ] ])
+      (runs [ line "w" 0 [ ("decide_p50_ms", n) ] ])
   in
-  let new_doc = parse_doc (v2 [ ("EASY", 250000.0, 240000.0, 260000.0) ]) in
-  let d = B.diff old_doc new_doc in
-  Alcotest.(check int) "cross-schema compare" 1 (List.length d.B.changes);
-  Alcotest.(check int) "regression without old CI" 1 d.B.regressions;
-  (* Unknown schemas are a typed error, not a crash. *)
-  match B.of_json (B.Obj [ ("schema", B.Str "psched-bench/99") ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown schema accepted"
+  Alcotest.(check int) "latency x6 fails" 1 (p50_gate 10.0 60.0).B.failures;
+  Alcotest.(check int) "latency /6 passes" 0 (p50_gate 60.0 10.0).B.failures
 
 let test_bench_added_removed () =
-  let old_doc = parse_doc (v2 [ ("A", 1.0, 1.0, 1.0); ("B", 2.0, 2.0, 2.0) ]) in
-  let new_doc = parse_doc (v2 [ ("B", 2.0, 2.0, 2.0); ("C", 3.0, 3.0, 3.0) ]) in
-  let d = B.diff old_doc new_doc in
-  Alcotest.(check (list string)) "removed" [ "A" ] d.B.only_old;
-  Alcotest.(check (list string)) "added" [ "C" ] d.B.only_new;
-  Alcotest.(check int) "only common compared" 1 (List.length d.B.changes)
+  let d =
+    B.diff spec
+      (runs [ line "w" 0 [ ("A", 1.0); ("jobs_per_s", 2.0) ]; line "v" 0 (e2e ()) ])
+      (runs [ line "w" 0 [ ("jobs_per_s", 2.0); ("C", 3.0) ] ])
+  in
+  let w = List.find (fun w -> w.B.name = "w") d.B.workloads in
+  Alcotest.(check (list string)) "removed" [ "A" ] w.B.only_old;
+  Alcotest.(check (list string)) "added" [ "C" ] w.B.only_new;
+  Alcotest.(check int) "only common compared" 1 (List.length w.B.rows);
+  (* A workload the baseline has and the fresh set lacks fails. *)
+  let v = List.find (fun w -> w.B.name = "v") d.B.workloads in
+  Alcotest.(check bool) "missing run fails" true (B.failing v);
+  Alcotest.(check int) "one failure" 1 d.B.failures
+
+let test_bench_malformed_lines () =
+  let bad_line s =
+    match B.runs_of_string s with
+    | Error (B.Bad_line { line; _ }) -> Some line
+    | Error _ | Ok _ -> None
+  in
+  let good = line "w" 0 (e2e ()) in
+  Alcotest.(check (option int)) "not json" (Some 2) (bad_line (good ^ "\n{oops"));
+  Alcotest.(check (option int)) "no result" (Some 1) (bad_line {|{"workload": "w", "trace": 0}|});
+  Alcotest.(check (option int)) "trace 2" (Some 1)
+    (bad_line
+       {|{"workload": "w", "trace": 2, "result": {"correct": true, "failed": 0, "metrics": {}}}|});
+  Alcotest.(check (option int)) "value not a number" (Some 1)
+    (bad_line
+       {|{"workload": "w", "trace": 0, "result": {"correct": true, "failed": 0, "metrics": {"a": {"value": "x"}}}}|});
+  Alcotest.(check (option int)) "repeated run" (Some 3) (bad_line (good ^ "\n\n" ^ good));
+  Alcotest.(check int) "blank lines skipped" 0
+    (match B.runs_of_string "\n\n" with Ok r -> List.length r | Error _ -> -1);
+  (* Every prefix of a valid file decodes or errors; none raises. *)
+  let file = good ^ "\n" ^ line "w" 1 (layers ()) ^ "\n" in
+  for k = 0 to String.length file do
+    ignore (B.runs_of_string (String.sub file 0 k))
+  done;
+  match B.load "no/such/file.jsonl" with
+  | Error (B.Unreadable _) -> ()
+  | _ -> Alcotest.fail "missing file is not Unreadable"
+
+(* The committed baseline is what `make bench-diff` compares against:
+   it must parse, pass its own checks, name only BENCHMARK.json's
+   metrics, and pass against itself. *)
+let test_bench_baseline_fixture () =
+  let spec =
+    match B.load_spec "../BENCHMARK.json" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "BENCHMARK.json: %s" (B.error_to_string e)
+  in
+  let baseline =
+    match B.load "fixtures/perfbench_baseline.jsonl" with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "baseline: %s" (B.error_to_string e)
+  in
+  Alcotest.(check int) "five workloads, untraced and traced" 10 (List.length baseline);
+  List.iter
+    (fun (r : B.run) ->
+      Alcotest.(check bool) (r.B.workload ^ " correct") true (r.B.correct && r.B.failed = 0);
+      List.iter
+        (fun (name, _) ->
+          Alcotest.(check bool) (name ^ " in BENCHMARK.json") true
+            (List.exists (fun (m : B.metric_spec) -> m.B.name = name) spec))
+        r.B.metrics)
+    baseline;
+  Alcotest.(check int) "passes against itself" 0 (B.diff spec baseline baseline).B.failures
 
 (* --- SVG gantt ---------------------------------------------------------- *)
 
@@ -288,7 +366,8 @@ let suite =
     Alcotest.test_case "span accounting survives ring" `Quick test_span_accounting_survives_ring;
     Alcotest.test_case "bench diff regression vs noise" `Quick test_bench_diff_regression_and_noise;
     Alcotest.test_case "bench higher-better flips" `Quick test_bench_higher_better_flips;
-    Alcotest.test_case "bench cross-schema" `Quick test_bench_cross_schema;
     Alcotest.test_case "bench added/removed" `Quick test_bench_added_removed;
+    Alcotest.test_case "bench malformed lines" `Quick test_bench_malformed_lines;
+    Alcotest.test_case "bench baseline fixture" `Quick test_bench_baseline_fixture;
     Alcotest.test_case "gantt svg" `Quick test_gantt_svg;
   ]

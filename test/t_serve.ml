@@ -490,6 +490,27 @@ let test_timer_round_semantics () =
           10.0 e.start)
     sched.Psched_sim.Schedule.entries
 
+let test_storm_sheds_and_stays_bounded () =
+  (* Arrivals at twice the 90%-load rate against a queue capped just
+     under one cycle of capacity (0.94 m round_every / mean work = 51):
+     the daemon must shed, and its live profile must scale with m and
+     the cap, not with the number of arrivals. *)
+  let m = 128 and round_every = 3600.0 in
+  let mean_work = 16.5 *. 505.0 in
+  let storm count =
+    let cfg =
+      Daemon.config ~m ~round_every ~queue_cap:51 ~shed:Admission.Reject ()
+    in
+    Daemon.run cfg
+      (Arrivals.poisson ~procs_max:32 ~tmin:10.0 ~tmax:1000.0 ~m
+         ~rate:(2.0 *. 0.9 *. float_of_int m /. mean_work) ~seed:42 ~count ())
+  in
+  let full = storm 2000 and quarter = storm 500 in
+  Alcotest.(check bool) "shedding engaged" true
+    (full.Daemon.state.Snapshot.counters.Snapshot.shed > 0);
+  let peak o = o.Daemon.profile.Psched_sim.Profile.peak_segments in
+  Alcotest.(check bool) "live segments bounded" true (peak full <= 2 * peak quarter)
+
 (* --- admission unit tests --------------------------------------------- *)
 
 let test_watermark_hysteresis () =
@@ -767,6 +788,8 @@ let suite =
     Alcotest.test_case "crash recovery with snapshots" `Quick test_crash_recovery_with_snapshot;
     Alcotest.test_case "timer rounds: backlog, cap and grid timing" `Quick
       test_timer_round_semantics;
+    Alcotest.test_case "timer rounds: storm sheds, memory bounded" `Quick
+      test_storm_sheds_and_stays_bounded;
     Alcotest.test_case "admission: watermark hysteresis" `Quick test_watermark_hysteresis;
     Alcotest.test_case "metrics: Acc export/import" `Quick test_acc_export_import;
     Alcotest.test_case "http: /metrics endpoint" `Quick test_http_metrics;

@@ -396,6 +396,33 @@ let test_stream_lag_keeps_recent_past () =
   Alcotest.(check bool) "lag folds less" true
     (a.Stream.profile.Profile.folded_span <= b.Stream.profile.Profile.folded_span)
 
+(* Rigid jobs, width U[1,16], time U[10,1000] s, Poisson arrivals at
+   90% offered load on m machines: the machine stays busy and the live
+   horizon stays bounded. *)
+let busy_stream ~seed ~n ~m =
+  let rng = Psched_util.Rng.create seed in
+  let gap = 8.5 *. 505.0 /. (0.9 *. float_of_int m) in
+  let next_id = ref 0 and release = ref 0.0 in
+  fun () ->
+    if !next_id >= n then None
+    else begin
+      let id = !next_id in
+      incr next_id;
+      let procs = 1 + Psched_util.Rng.int rng 16 in
+      let time = Psched_util.Rng.uniform rng 10.0 1000.0 in
+      release := !release +. Psched_util.Rng.exp_mean rng gap;
+      Some (Job.rigid ~release:!release ~id ~procs ~time ())
+    end
+
+let test_stream_live_segments_bounded () =
+  (* Compaction keeps the live profile O(live horizon): 144 segments at
+     n=10^4 (the count the old scaling bench recorded), and four times
+     the jobs must not double it. *)
+  let peak n = (Stream.run ~m:1000 (busy_stream ~seed:42 ~n ~m:1000)).Stream.profile.Profile.peak_segments in
+  let small = peak 10_000 in
+  Alcotest.(check int) "peak live segments at n=10^4" 144 small;
+  Alcotest.(check bool) "bounded at n=4*10^4" true (peak 40_000 <= 2 * small)
+
 let stream_suite =
   [
     Alcotest.test_case "stream: compaction bit-identical" `Quick
@@ -403,6 +430,7 @@ let stream_suite =
     Alcotest.test_case "stream: Acc = compute" `Quick test_stream_acc_matches_compute;
     Alcotest.test_case "stream: release regression" `Quick test_stream_rejects_regression;
     Alcotest.test_case "stream: lag" `Quick test_stream_lag_keeps_recent_past;
+    Alcotest.test_case "stream: live segments bounded" `Quick test_stream_live_segments_bounded;
   ]
 
 let suite = base_suite @ export_suite @ executor_suite @ stream_suite

@@ -18,4 +18,4 @@ fi
 # A tree that does not build fails lint: do not silence the compiler.
 dune build bin/psched.exe || exit 1
 exec dune exec --no-build bin/psched.exe -- lint --json lint_report.json \
-  lib bin bench examples test perfbench
+  lib bin examples test perfbench

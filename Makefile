@@ -80,14 +80,17 @@ lint:
 analyze:
 	dune exec bin/psched.exe -- check --all --json check_report.json
 
-# Rewrite the committed analyzer report and multi-resource table that
-# CI diffs fresh `check --all --json` and `tables multires` output
-# against.  Both are seeded and carry no timings, so run this only
-# after a change meant to alter a schedule, a certificate ratio or a
-# finding.
+# Rewrite the committed analyzer report and tables that CI diffs fresh
+# `check --all --json`, `tables multires`, `tables stretch` (the queue
+# disciplines) and `ablations A-estimates` (non-clairvoyant EASY)
+# output against.  All are seeded and carry no timings, so run this
+# only after a change meant to alter a schedule, a certificate ratio
+# or a finding.
 check-fixture:
 	dune exec bin/psched.exe -- check --all --json test/fixtures/check_all.json
 	dune exec bin/psched.exe -- tables multires > test/fixtures/tables_multires.txt
+	dune exec bin/psched.exe -- tables stretch > test/fixtures/tables_stretch.txt
+	dune exec bin/psched.exe -- ablations A-estimates > test/fixtures/ablation_estimates.txt
 
 # Everything CI runs except the timing gate, plus the robustness
 # degradation grid (BENCH_2.json, deterministic at seed 42).

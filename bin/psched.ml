@@ -53,14 +53,29 @@ let table_of_name = function
   | other -> Printf.sprintf "unknown table %S (try: %s)" other (String.concat ", " table_names)
 
 let ablations_cmd =
-  let run () =
-    List.iter
-      (fun (id, text) -> Printf.printf "== %s ==\n%s\n\n" id text)
-      (Psched_experiments.Ablations.all ())
+  let studies = Psched_experiments.Ablations.studies in
+  let run = function
+    | [] ->
+      List.iter
+        (fun (id, text) -> Printf.printf "== %s ==\n%s\n\n" id text)
+        (Psched_experiments.Ablations.all ())
+    | ids ->
+      List.iter
+        (fun id ->
+          match List.assoc_opt id studies with
+          | Some study -> Printf.printf "%s\n\n" (study ())
+          | None ->
+            Printf.eprintf "unknown ablation %S (try: %s)\n" id
+              (String.concat ", " (List.map fst studies));
+            exit 1)
+        ids
+  in
+  let ids =
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Ablations to print, by id (default all).")
   in
   Cmd.v
     (Cmd.info "ablations" ~doc:"Run the ablation studies (design-choice sweeps).")
-    Term.(const run $ const ())
+    Term.(const run $ ids)
 
 let tables_cmd =
   let run names =

@@ -4,10 +4,11 @@
     clairvoyant scheduling (parameters known at release) from
     non-clairvoyant scheduling.  Real batch systems sit in between:
     users supply {e estimates} (usually over-estimates, since jobs are
-    killed at their requested time).  This module re-runs EASY
-    backfilling with estimated durations driving the planning while
-    actual durations drive the events, quantifying how much guarantee
-    degradation the clairvoyance assumption hides.
+    killed at their requested time).  This module runs EASY
+    backfilling ({!Backfilling.easy} [~estimate]) with estimated
+    durations driving the planning while actual durations drive the
+    events, quantifying how much guarantee degradation the
+    clairvoyance assumption hides.
 
     The scheduler sees [estimate job procs]; a started job actually
     completes after [Job.time_on job procs].  Estimates must

@@ -1,5 +1,4 @@
 open Psched_workload
-open Psched_sim
 
 type policy = Fcfs | Sjf | Wsjf | Max_stretch_first
 
@@ -21,59 +20,5 @@ let priority policy ~now ((job : Job.t), procs) =
     (* Highest (wait + run) / run first: negate for the sort. *)
     (-.((now -. job.release +. p) /. p), float_of_int job.id)
 
-(* Precondition: every allocation is at most [m] processors wide; the
-   {!Schedulers} adapter rejects wider jobs with a typed [Too_wide]
-   error before calling. *)
-let schedule policy ~m allocated =
-  let module H = Psched_util.Heap in
-  let events = H.create ~cmp:compare in
-  List.iter (fun ((j : Job.t), _) -> H.add events j.release) allocated;
-  let pending = ref allocated in
-  let queue = ref [] in
-  let free = ref m in
-  let entries = ref [] in
-  let eps = 1e-9 in
-  let step now =
-    let arrived, still =
-      List.partition (fun ((j : Job.t), _) -> j.release <= now +. eps) !pending
-    in
-    pending := still;
-    queue := !queue @ arrived;
-    let ordered = List.sort (fun a b -> compare (priority policy ~now a) (priority policy ~now b)) !queue in
-    let kept =
-      List.filter
-        (fun ((job : Job.t), procs) ->
-          if procs <= !free then begin
-            free := !free - procs;
-            let e = Schedule.entry ~job ~start:now ~procs () in
-            entries := e :: !entries;
-            H.add events (Schedule.completion e);
-            false
-          end
-          else true)
-        ordered
-    in
-    queue := kept
-  in
-  let last = ref neg_infinity in
-  let completions_at now =
-    (* Processors freed by entries finishing at [now]. *)
-    List.iter
-      (fun (e : Schedule.entry) ->
-        if Float.abs (Schedule.completion e -. now) <= eps then free := !free + e.Schedule.procs)
-      !entries
-  in
-  let rec loop () =
-    match H.pop events with
-    | None -> ()
-    | Some t ->
-      if t > !last +. eps then begin
-        last := t;
-        completions_at t;
-        step t
-      end;
-      loop ()
-  in
-  loop ();
-  assert (!queue = [] && !pending = []);
-  Schedule.make ~m !entries
+let schedule ?obs ?reservations policy ~m allocated =
+  Backfilling.first_fit ?obs ?reservations ~key:(priority policy) ~m allocated

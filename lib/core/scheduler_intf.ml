@@ -40,7 +40,9 @@ type ctx = {
   obs : Psched_obs.Obs.t;  (** observability handle; {!Psched_obs.Obs.null} = off *)
   reservations : Psched_platform.Reservation.t list;
       (** advance reservations, honoured by the policies that support
-          them (EASY, conservative, reservation-batches) *)
+          them: the on-line engine's (easy, easy-mr, fcfs, sjf, wsjf,
+          max-stretch-first), conservative, list-mr and
+          reservation-batches *)
   releases : release_policy;
   alloc : alloc_policy;
   epsilon : float;  (** dual-search precision for MRT-based policies *)

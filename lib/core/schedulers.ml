@@ -158,16 +158,20 @@ let registry : (module I.S) list =
            Backfilling.conservative ~obs:ctx.obs ~reservations:ctx.reservations ~m:ctx.m tasks));
     make "fcfs" "first-come first-served queue order, list placement"
       (rigid_online ~policy:"fcfs" (fun ctx tasks ->
-           Queue_policies.schedule Queue_policies.Fcfs ~m:ctx.m tasks));
+           Queue_policies.schedule ~obs:ctx.obs ~reservations:ctx.reservations
+             Queue_policies.Fcfs ~m:ctx.m tasks));
     make "sjf" "shortest job first queue order"
       (rigid_online ~policy:"sjf" (fun ctx tasks ->
-           Queue_policies.schedule Queue_policies.Sjf ~m:ctx.m tasks));
+           Queue_policies.schedule ~obs:ctx.obs ~reservations:ctx.reservations
+             Queue_policies.Sjf ~m:ctx.m tasks));
     make "wsjf" "weighted shortest job first (Smith ratio) queue order"
       (rigid_online ~policy:"wsjf" (fun ctx tasks ->
-           Queue_policies.schedule Queue_policies.Wsjf ~m:ctx.m tasks));
+           Queue_policies.schedule ~obs:ctx.obs ~reservations:ctx.reservations
+             Queue_policies.Wsjf ~m:ctx.m tasks));
     make "max-stretch-first" "serve the job with the worst pending stretch first"
       (rigid_online ~policy:"max-stretch-first" (fun ctx tasks ->
-           Queue_policies.schedule Queue_policies.Max_stretch_first ~m:ctx.m tasks));
+           Queue_policies.schedule ~obs:ctx.obs ~reservations:ctx.reservations
+             Queue_policies.Max_stretch_first ~m:ctx.m tasks));
     make "edd" "earliest due date order for tardiness criteria"
       (rigid_online ~policy:"edd" (fun ctx tasks -> Due_date.edd ~m:ctx.m tasks));
     make "edd-admission" "EDD with admission control: only due-date-safe jobs are kept"

@@ -289,15 +289,17 @@ let policy_registry () =
       ~header:[ "policy"; "Cmax"; "util"; "scheduled"; "releases" ]
       ~rows:(List.map row Schedulers.names)
 
-let all () =
+let studies =
   [
-    ("A-mrt-epsilon", mrt_epsilon ());
-    ("A-bicriteria-rho", bicriteria_rho ());
-    ("A-steal-chunk", stealing_chunk ());
-    ("A-estimates", estimate_error ());
-    ("A-malleable", malleability_gain ());
-    ("A-hierarchical", hierarchical ());
-    ("A-reservations", reservations_cost ());
-    ("A-versatility", versatility ());
-    ("A-registry", policy_registry ());
+    ("A-mrt-epsilon", mrt_epsilon);
+    ("A-bicriteria-rho", bicriteria_rho);
+    ("A-steal-chunk", stealing_chunk);
+    ("A-estimates", estimate_error);
+    ("A-malleable", malleability_gain);
+    ("A-hierarchical", hierarchical);
+    ("A-reservations", reservations_cost);
+    ("A-versatility", versatility);
+    ("A-registry", policy_registry);
   ]
+
+let all () = List.map (fun (id, study) -> (id, study ())) studies

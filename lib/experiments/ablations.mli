@@ -30,4 +30,8 @@ val policy_registry : unit -> string
 (** Every {!Psched_core.Schedulers} registry policy on one moldable
     workload, selected by name through the unified API. *)
 
+val studies : (string * (unit -> string)) list
+(** Every study by id (["A-estimates"], ...), in report order;
+    [psched ablations ID] runs one. *)
+
 val all : unit -> (string * string) list

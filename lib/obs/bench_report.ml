@@ -371,13 +371,16 @@ let compare_workload spec name old_runs new_runs =
       old_metrics
   in
   let absent from = List.filter_map (fun (m, _) -> if List.mem_assoc m from then None else Some m) in
+  (* Only a timing that grew can explain a failure: one that stayed at
+     0 or shrank belongs to a layer the change did not slow down. *)
   let moved_most =
     List.fold_left
       (fun best r ->
-        if not (layer_timing spec r.metric) then best
+        let growth = r.new_value -. r.old_value in
+        if not (layer_timing spec r.metric && growth > 0.0) then best
         else
           match best with
-          | Some b when b.new_value -. b.old_value >= r.new_value -. r.old_value -> best
+          | Some b when b.new_value -. b.old_value >= growth -> best
           | _ -> Some r)
       None rows
   in
@@ -429,11 +432,12 @@ let render d =
            w.rows);
       List.iter (line "  removed: %s") w.only_old;
       List.iter (line "  added: %s") w.only_new;
-      match w.moved_most with
-      | Some r when failing w ->
-        line "  per-layer timing that moved most: %s (%.4g s -> %.4g s)" r.metric r.old_value
-          r.new_value
-      | _ -> ())
+      if failing w then
+        match w.moved_most with
+        | Some r ->
+          line "  per-layer timing that moved most: %s (%.4g s -> %.4g s)" r.metric r.old_value
+            r.new_value
+        | None -> line "  no per-layer timing grew")
     d.workloads;
   line "%d workload(s), %d failure(s)" (List.length d.workloads) d.failures;
   Buffer.contents b

@@ -96,7 +96,7 @@ type workload = {
   moved_most : row option;
       (** the per-layer timing whose value grew most, whole-call totals
           ([run.rep_s], [core.schedule_s] and its per-policy rows,
-          [serve.run_s]) excepted *)
+          [serve.run_s]) excepted; [None] when no timing grew *)
 }
 
 type diff = { workloads : workload list; failures : int }

@@ -103,6 +103,16 @@ let apply t ~release ~start ~duration ~procs ~(res : R.t) =
 let reserve t ~start ~duration ~procs ~res = apply t ~release:false ~start ~duration ~procs ~res
 let release t ~start ~duration ~procs ~res = apply t ~release:true ~start ~duration ~procs ~res
 
+let release_window t ~start ~stop ~procs ~(res : R.t) =
+  let component comp amount =
+    match comp with
+    | Tracked p when amount > 0 -> Profile.release_window p ~start ~stop ~procs:amount
+    | Tracked _ | Untracked -> ()
+  in
+  Profile.release_window t.cores ~start ~stop ~procs;
+  component t.memory res.R.memory;
+  component t.bandwidth res.R.bandwidth
+
 let place t ~earliest ~duration ~procs ~res =
   let start = find_start t ~earliest ~duration ~procs ~res in
   if duration > 0.0 then reserve t ~start ~duration ~procs ~res;

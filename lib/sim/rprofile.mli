@@ -46,6 +46,14 @@ val release :
     profile unchanged, when any component would exceed its
     capacity. *)
 
+val release_window :
+  t -> start:float -> stop:float -> procs:int -> res:Psched_platform.Resource.t -> unit
+(** {!Profile.release_window} on every tracked component: give back
+    [\[start, stop)], the tail of an earlier {!reserve} of the same
+    request whose window ends exactly at [stop].  @raise
+    Invalid_argument when a component would exceed its capacity; the
+    components before it stay changed. *)
+
 val place :
   t -> earliest:float -> duration:float -> procs:int -> res:Psched_platform.Resource.t -> float
 (** [find_start] then [reserve]; returns the chosen start. *)

@@ -311,6 +311,108 @@ let test_easy_does_not_delay_head () =
   T_helpers.check_float "head starts at 4" 6.0 (Schedule.completion_of s 1);
   Alcotest.(check bool) "long job waits for head" true (Schedule.completion_of s 2 >= 6.0)
 
+(* --- the on-line engine ------------------------------------------------ *)
+
+(* The registry policies that run on the on-line engine or honour
+   reservations beside it. *)
+let online_policies =
+  [ "easy"; "easy-mr"; "conservative"; "list-mr"; "fcfs"; "sjf"; "wsjf"; "max-stretch-first" ]
+
+(* Every on-line policy and non-clairvoyant EASY under each estimator
+   give a valid schedule of all [jobs]. *)
+let check_online_valid ~m jobs =
+  let valid label sched =
+    match Validate.check ~jobs sched with
+    | [] -> ()
+    | v :: _ -> Alcotest.failf "%s: %a" label Validate.pp_violation v
+  in
+  List.iter
+    (fun policy ->
+      match Schedulers.run policy (Scheduler_intf.ctx ~m ()) jobs with
+      | Ok o -> valid policy o.Scheduler_intf.schedule
+      | Error e -> Alcotest.failf "%s" (Scheduler_intf.error_to_string e))
+    online_policies;
+  List.iter
+    (fun (name, estimator) ->
+      valid ("nonclairvoyant " ^ name) (Nonclairvoyant.easy ~estimator ~m (allocate_all jobs)))
+    T_helpers.estimators
+
+(* Events closer than the engine's 1e-9 merge window.  The old loops
+   lost a processor (a completion merged away before it was counted),
+   freed one twice (a completion counted at two steps), or started a
+   job at the step's date while a job due within the window still
+   ran. *)
+let test_tiny_job () =
+  check_online_valid ~m:1
+    [ Job.rigid ~id:0 ~procs:1 ~time:1e-12 (); Job.rigid ~id:1 ~procs:1 ~time:1.0 () ]
+
+let test_two_close_completions () =
+  check_online_valid ~m:2
+    [
+      Job.rigid ~id:0 ~procs:1 ~time:1.0 ();
+      Job.rigid ~id:1 ~procs:1 ~time:(1.0 +. 5e-10) ();
+      Job.rigid ~id:2 ~procs:2 ~time:1.0 ();
+    ]
+
+let test_three_close_completions () =
+  check_online_valid ~m:3
+    (Job.rigid ~id:0 ~procs:1 ~time:1.0 ()
+    :: Job.rigid ~id:1 ~procs:1 ~time:(1.0 +. 0.9e-9) ()
+    :: Job.rigid ~id:2 ~procs:1 ~time:(1.0 +. 1.8e-9) ()
+    :: List.init 4 (fun i -> Job.rigid ~id:(3 + i) ~procs:1 ~time:1.0 ()))
+
+(* A job shorter than the merge window completes inside the step that
+   started it; its belief tail must still be given back, or the job
+   queued behind it never starts. *)
+let test_tiny_job_long_estimate () =
+  let jobs = [ Job.rigid ~id:0 ~procs:1 ~time:1e-12 (); Job.rigid ~id:1 ~procs:1 ~time:1.0 () ] in
+  let sched =
+    Nonclairvoyant.easy ~estimator:(Nonclairvoyant.overestimate ~factor:1e7) ~m:1
+      (allocate_all jobs)
+  in
+  Alcotest.(check bool) "valid" true (Validate.is_valid ~jobs sched)
+
+let qcheck_queue_oracle =
+  T_helpers.qtest ~count:1000 "engine = old queue loop: fcfs/sjf/wsjf/msf" T_helpers.arb_spaced
+    (fun (m, jobs, _) ->
+      let allocated = allocate_all jobs in
+      List.for_all
+        (fun (name, policy) ->
+          T_helpers.same_schedule name
+            (Queue_policies.schedule policy ~m allocated)
+            (Online_oracle.queue policy ~m allocated))
+        Queue_policies.all)
+
+let qcheck_easy_oracle =
+  T_helpers.qtest ~count:1000 "engine = old EASY loop, with reservations" T_helpers.arb_spaced
+    (fun (m, jobs, reservations) ->
+      let allocated = allocate_all jobs in
+      T_helpers.same_schedule "easy"
+        (Backfilling.easy ~reservations ~m allocated)
+        (Online_oracle.easy ~reservations ~estimator:Nonclairvoyant.exact ~m allocated))
+
+let qcheck_online_reservations =
+  T_helpers.qtest ~count:300 "on-line policies: valid under reservations"
+    (QCheck.pair arb_rigid_rel (QCheck.make (T_helpers.G.float_range 0.0 1.0)))
+    (fun ((m, jobs), share) ->
+      (* Three disjoint reservations over the arrival period, each as
+         wide as a random share of the machine. *)
+      let horizon = List.fold_left (fun acc (j : Job.t) -> Float.max acc j.release) 10.0 jobs in
+      let procs = max 1 (int_of_float (share *. float_of_int m)) in
+      let reservations =
+        List.init 3 (fun i ->
+            Psched_platform.Reservation.make ~id:i
+              ~start:(float_of_int i *. horizon /. 3.0)
+              ~duration:(horizon /. 6.0) ~procs)
+      in
+      let ctx = Scheduler_intf.ctx ~reservations ~m () in
+      List.for_all
+        (fun policy ->
+          match Schedulers.run policy ctx jobs with
+          | Ok o -> T_helpers.assert_valid ~reservations ~jobs o.Scheduler_intf.schedule
+          | Error e -> QCheck.Test.fail_reportf "%s" (Scheduler_intf.error_to_string e))
+        online_policies)
+
 (* --- allocation strategies / rigid mix ----------------------------------- *)
 
 let qcheck_alloc_strategies =
@@ -368,6 +470,13 @@ let suite =
     qcheck_easy_valid_with_reservations;
     Alcotest.test_case "EASY backfills" `Quick test_easy_backfills;
     Alcotest.test_case "EASY protects head" `Quick test_easy_does_not_delay_head;
+    Alcotest.test_case "engine: a 1e-12 s job" `Quick test_tiny_job;
+    Alcotest.test_case "engine: completions 5e-10 apart" `Quick test_two_close_completions;
+    Alcotest.test_case "engine: completions 0.9e-9 apart" `Quick test_three_close_completions;
+    Alcotest.test_case "engine: tail of a 1e-12 s job" `Quick test_tiny_job_long_estimate;
+    qcheck_queue_oracle;
+    qcheck_easy_oracle;
+    qcheck_online_reservations;
     qcheck_alloc_strategies;
     qcheck_rigid_mix_all_valid;
   ]

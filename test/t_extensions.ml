@@ -104,18 +104,18 @@ let qcheck_malleable_completions_after_release =
 let arb_rigid_rel = T_helpers.arb_instance ~releases:true `Rigid
 let allocate_all jobs = List.map Packing.allocate_rigid jobs
 
-let qcheck_nc_exact_matches_easy =
-  (* Cross-validation: with exact estimates the two independent EASY
-     implementations must agree placement for placement. *)
-  T_helpers.qtest "nonclairvoyant: exact estimates = clairvoyant EASY" arb_rigid_rel
-    (fun (m, jobs) ->
-      let a = Backfilling.easy ~m (allocate_all jobs) in
-      let b = Nonclairvoyant.easy ~estimator:Nonclairvoyant.exact ~m (allocate_all jobs) in
-      let key (e : Psched_sim.Schedule.entry) =
-        (e.Psched_sim.Schedule.job_id, e.Psched_sim.Schedule.start)
-      in
-      List.sort compare (List.map key a.Psched_sim.Schedule.entries)
-      = List.sort compare (List.map key b.Psched_sim.Schedule.entries))
+let qcheck_nc_oracle =
+  (* Differential: the engine against the old non-clairvoyant loop,
+     on instances whose event dates are equal or far apart. *)
+  T_helpers.qtest ~count:1000 "nonclairvoyant: engine = old loop" T_helpers.arb_spaced
+    (fun (m, jobs, _) ->
+      let allocated = allocate_all jobs in
+      List.for_all
+        (fun (name, estimator) ->
+          T_helpers.same_schedule name
+            (Nonclairvoyant.easy ~estimator ~m allocated)
+            (Online_oracle.easy ~estimator ~m allocated))
+        T_helpers.estimators)
 
 let qcheck_nc_valid_under_overestimates =
   T_helpers.qtest "nonclairvoyant: valid schedules under overestimation" arb_rigid_rel
@@ -296,7 +296,7 @@ let suite =
     Alcotest.test_case "malleable weighted" `Quick test_malleable_weighted;
     qcheck_malleable_invariants;
     qcheck_malleable_completions_after_release;
-    qcheck_nc_exact_matches_easy;
+    qcheck_nc_oracle;
     qcheck_nc_valid_under_overestimates;
     Alcotest.test_case "nonclairvoyant rejects underestimates" `Quick test_nc_underestimate_rejected;
     Alcotest.test_case "swf roundtrip" `Quick test_swf_roundtrip;

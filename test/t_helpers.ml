@@ -89,6 +89,63 @@ let print_instance (m, jobs) =
 let arb_instance ?max_m ?max_n ?releases kind =
   QCheck.make ~print:print_instance (gen_instance ?max_m ?max_n ?releases ~kind ())
 
+(* --- on-line engine instances ------------------------------------------ *)
+
+(* Instances whose event dates are equal or at least 1/4 apart: times
+   and releases are multiples of 1/4 (exact in binary, so every sum is
+   too), drawn from small ranges so that many dates tie exactly.  The
+   oracles merge events within 1e-9, so they are only trusted on such
+   instances. *)
+let gen_spaced =
+  let open G in
+  let quarter lo hi = map (fun k -> float_of_int k /. 4.0) (int_range lo hi) in
+  let* m = int_range 1 16 in
+  let* n = int_range 1 25 in
+  let* tmax = oneofl [ 4; 40; 200 ] in
+  let* rmax = oneofl [ 0; 8; 100 ] in
+  let job id =
+    let* procs = int_range 1 m in
+    let* time = quarter 1 tmax in
+    let* release = quarter 0 rmax in
+    let* weight = float_range 1.0 10.0 in
+    return (Job.rigid ~weight ~release ~id ~procs ~time ())
+  in
+  let* jobs = flatten_l (List.init n job) in
+  (* Up to three reservations, one after another so they stay within
+     capacity. *)
+  let* k = int_range 0 3 in
+  let* spans = list_repeat k (triple (quarter 0 40) (quarter 1 40) (int_range 1 m)) in
+  let _, reservations =
+    List.fold_left
+      (fun (clock, acc) (gap, duration, procs) ->
+        let start = clock +. gap in
+        ( start +. duration,
+          Psched_platform.Reservation.make ~id:(List.length acc) ~start ~duration ~procs :: acc ))
+      (0.0, []) spans
+  in
+  return (m, jobs, List.rev reservations)
+
+let arb_spaced =
+  QCheck.make
+    ~print:(fun (m, jobs, rs) ->
+      Format.asprintf "%s@ reservations %a" (print_instance (m, jobs))
+        (Format.pp_print_list Psched_platform.Reservation.pp)
+        rs)
+    gen_spaced
+
+(* Differential check against an {!Online_oracle} loop. *)
+let same_schedule label a b =
+  a = b
+  || QCheck.Test.fail_reportf "%s:@ engine %a@ oracle %a" label Psched_sim.Schedule.pp a
+       Psched_sim.Schedule.pp b
+
+let estimators =
+  [
+    ("exact", Psched_core.Nonclairvoyant.exact);
+    ("x2", Psched_core.Nonclairvoyant.overestimate ~factor:2.0);
+    ("noisy", Psched_core.Nonclairvoyant.noisy ~seed:3 ~max_factor:5.0);
+  ]
+
 (* --- checkers -------------------------------------------------------- *)
 
 let assert_valid ?reservations ~jobs sched =

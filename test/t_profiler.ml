@@ -231,6 +231,17 @@ let test_bench_diff_regression_and_noise () =
   (* A run that failed its own checks fails the gate. *)
   Alcotest.(check int) "correct false" 1 (gate ~correct:false ()).B.failures
 
+let test_bench_culprit_grew () =
+  (* An exact metric fails while every timing shrank or stayed put: no
+     layer slowed down, so none is named. *)
+  let d = gate ~layers:(layers ~slow:(-0.01) ~alloc:2933.0 ()) () in
+  Alcotest.(check int) "allocation changed" 1 d.B.failures;
+  Alcotest.(check (option string)) "no culprit" None
+    (Option.map (fun r -> r.B.metric) (List.hd d.B.workloads).B.moved_most);
+  let rendered = B.render d in
+  Alcotest.(check bool) "says none grew" true (T_helpers.contains rendered "no per-layer timing grew");
+  Alcotest.(check bool) "names no layer" false (T_helpers.contains rendered "moved most")
+
 let test_bench_higher_better_flips () =
   let jobs_gate old_jobs new_jobs =
     B.diff spec
@@ -366,6 +377,7 @@ let suite =
     Alcotest.test_case "span accounting survives ring" `Quick test_span_accounting_survives_ring;
     Alcotest.test_case "bench diff regression vs noise" `Quick test_bench_diff_regression_and_noise;
     Alcotest.test_case "bench higher-better flips" `Quick test_bench_higher_better_flips;
+    Alcotest.test_case "bench culprit: timings that grew" `Quick test_bench_culprit_grew;
     Alcotest.test_case "bench added/removed" `Quick test_bench_added_removed;
     Alcotest.test_case "bench malformed lines" `Quick test_bench_malformed_lines;
     Alcotest.test_case "bench baseline fixture" `Quick test_bench_baseline_fixture;
